@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race check check-sampling bench-columnar bench-seek chaos crash cluster cluster-smoke serve bench microbench vet cover tables extensions calibration examples clean
+.PHONY: all build test test-short race check golden check-sampling bench-columnar bench-seek chaos crash cluster cluster-smoke serve bench microbench vet cover tables extensions calibration examples clean
 
 all: build vet test race check
 
@@ -29,6 +29,13 @@ race:
 # BENCH_ibsim.json.
 check: vet
 	$(GO) run ./cmd/ibscheck -n 200000
+
+# Paper-scale golden: regenerate every paper exhibit at the scale
+# paper_tables.txt was committed at and require byte-identical output.
+golden:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+		$(GO) run ./cmd/ibstables -n 2000000 -trials 5 -q -o "$$tmp" >/dev/null && \
+		cmp "$$tmp" paper_tables.txt && echo "golden: ibstables output == paper_tables.txt"
 
 # Sampled-simulation verification: CI95 calibration of the set- and
 # time-sampled engines against exact sweeps, the warm-unbiasedness and

@@ -438,6 +438,24 @@ func (c *Cache) TouchRun(start uint64, n, stride int64) int64 {
 	return absorbed
 }
 
+// AccessRun performs the n sequential demand accesses start, start+stride,
+// ..., leaving Stats, replacement state and contents exactly as n Access
+// calls would. TouchRun absorbs each all-hit stretch at one tag probe per
+// resident line; only the access it stops at, which misses, goes through
+// Access.
+func (c *Cache) AccessRun(start uint64, n, stride int64) {
+	for n > 0 {
+		t := c.TouchRun(start, n, stride)
+		start += uint64(t * stride)
+		if n -= t; n == 0 {
+			return
+		}
+		c.Access(start)
+		start += uint64(stride)
+		n--
+	}
+}
+
 // DM4 reports whether this cache takes TouchRun's direct-mapped, non-sector,
 // LRU specialization at stride 4. Replay loops that issue many short runs
 // hoist the dispatch: check DM4 once, then call TouchRunDM4 directly.

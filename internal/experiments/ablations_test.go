@@ -61,6 +61,31 @@ func TestAblationPagePolicy(t *testing.T) {
 	}
 }
 
+// TestAblationPagePolicyPerConfig pins the ablation's page-segment path to
+// the per-reference reference path for all four policies, row for row.
+func TestAblationPagePolicyPerConfig(t *testing.T) {
+	for _, seed := range []uint64{0, 3} {
+		opt := Options{Instructions: 60_000, Trials: 2, Seed: seed}
+		fast, err := AblationPagePolicy(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.PerConfig = true
+		ref, err := AblationPagePolicy(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fast.Rows) != len(ref.Rows) {
+			t.Fatalf("seed %d: %d rows, per-reference %d", seed, len(fast.Rows), len(ref.Rows))
+		}
+		for i := range fast.Rows {
+			if fast.Rows[i] != ref.Rows[i] {
+				t.Errorf("seed %d: row %+v, per-reference %+v", seed, fast.Rows[i], ref.Rows[i])
+			}
+		}
+	}
+}
+
 func TestAblationReplacement(t *testing.T) {
 	res, err := AblationReplacement(testOpt)
 	if err != nil {

@@ -21,6 +21,7 @@ import (
 	"ibsim/internal/replay"
 	"ibsim/internal/synth"
 	"ibsim/internal/trace"
+	"ibsim/internal/vm"
 )
 
 // Options control experiment scale. The zero value is usable: defaults are
@@ -49,12 +50,15 @@ type Options struct {
 	Workers int
 	// PerConfig forces the accelerated experiments onto their original
 	// one-full-simulation-per-configuration paths: Figures 1, 3, and 4 fall
-	// back from the single-pass sweep engine (internal/sweep), and Tables
-	// 5-8 plus Figures 6/7 fall back from the fan-out replay driver
-	// (internal/replay) to per-engine fetch.Run over the expanded trace.
-	// Every pair of paths renders byte-identical output — internal/check's
-	// sweep and fanout differentials enforce that — so PerConfig exists as
-	// the trusted reference executor, not as a semantic switch.
+	// back from the single-pass sweep engine (internal/sweep); Tables 5-8
+	// plus Figures 6/7 fall back from the fan-out replay driver
+	// (internal/replay) to per-engine fetch.Run over the expanded trace;
+	// and Figure 5 plus the page-policy ablation fall back from page
+	// segments (one vm translation per page, one cache probe per resident
+	// line) to per-reference Translate and Access. Every pair of paths
+	// produces identical results — internal/check's sweep, fanout and
+	// figure5-pages differentials enforce that — so PerConfig exists as the
+	// trusted reference executor, not as a semantic switch.
 	PerConfig bool
 	// Context, when non-nil, cancels the experiment: in-flight workers
 	// observe cancellation at their next trace acquisition or sweep
@@ -221,6 +225,64 @@ func mapBanks(profiles []synth.Profile, opt Options, mk func() ([]fetch.Engine, 
 		}
 		defer release()
 		return replay.Replay(ctx, runs, engines)
+	}
+	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
+}
+
+// pagedTrace is one workload's instruction trace as the physically indexed
+// experiments (Figure 5, the page-policy ablation) replay it: split at page
+// boundaries into segments (vm.Split) or, on the Options.PerConfig
+// reference path, the per-reference stream.
+type pagedTrace struct {
+	paged  *vm.Paged
+	refs   []trace.Ref
+	frames []uint64 // scratch for vm.(*Mapper).Frames
+}
+
+// stats runs one page-mapping trial: it translates the trace through m into
+// a cold cache of geometry cfg and returns the cache's counters. The segment
+// path resolves one frame per page and replays each segment as a sequential
+// run (cache.AccessRun); the reference path calls Translate and Access once
+// per reference. Both leave identical Stats, pinned by internal/check's
+// figure5-pages differential.
+func (t *pagedTrace) stats(m *vm.Mapper, cfg cache.Config) cache.Stats {
+	c := cache.MustNew(cfg)
+	if t.paged == nil {
+		for _, r := range t.refs {
+			c.Access(m.Translate(r.Addr, r.Domain))
+		}
+		return c.Stats()
+	}
+	t.frames = m.Frames(t.paged, t.frames)
+	for _, s := range t.paged.Segments {
+		c.AccessRun(t.frames[s.Page]|uint64(s.Offset), int64(s.Len), trace.InstrBytes)
+	}
+	return c.Stats()
+}
+
+// mapPaged runs worker over every profile's pagedTrace concurrently and
+// returns per-profile results in profile order. The default path acquires
+// the run-compacted trace (synth.DefaultStore.RunsOnly, so the
+// per-reference slice is never built) and splits it at vm.DefaultPageSize
+// pages; opt.PerConfig hands the worker the per-reference trace instead.
+func mapPaged[T any](profiles []synth.Profile, opt Options, worker func(p synth.Profile, t *pagedTrace) (T, error)) ([]T, error) {
+	if opt.PerConfig {
+		return mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) (T, error) {
+			return worker(p, &pagedTrace{refs: refs})
+		})
+	}
+	run := func(ctx context.Context, i int) (T, error) {
+		var zero T
+		runs, release, err := synth.DefaultStore.RunsOnly(ctx, profiles[i], opt.Seed, opt.Instructions)
+		if err != nil {
+			return zero, err
+		}
+		paged, err := vm.Split(runs, vm.DefaultPageSize)
+		release()
+		if err != nil {
+			return zero, err
+		}
+		return worker(profiles[i], &pagedTrace{paged: paged})
 	}
 	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
 }

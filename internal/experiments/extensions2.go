@@ -39,6 +39,7 @@ func ExtensionCML(opt Options) (*CMLResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Per-reference, not page segments: CML remaps pages on mid-stream misses.
 	refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
 	if err != nil {
 		return nil, err

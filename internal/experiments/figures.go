@@ -545,7 +545,10 @@ type Figure5Result struct {
 func figure5Workloads() []string { return []string{"verilog", "gs", "eqntott", "espresso"} }
 
 // Figure5 runs the variability experiment. The miss penalty is the
-// DECstation's 6 cycles, matching the Tapeworm measurement platform.
+// DECstation's 6 cycles, matching the Tapeworm measurement platform. Each
+// workload's trace is split into page segments once (mapPaged); every
+// trial then translates one address per page and replays the segments
+// through the cache's bulk-run path.
 func Figure5(opt Options) (*Figure5Result, error) {
 	opt = opt.withDefaults()
 	sizesKB := []int{4, 8, 16, 32, 64, 128, 256, 512, 1024}
@@ -560,7 +563,7 @@ func Figure5(opt Options) (*Figure5Result, error) {
 		}
 		profiles = append(profiles, p)
 	}
-	per, err := mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) ([]Figure5Point, error) {
+	per, err := mapPaged(profiles, opt, func(p synth.Profile, t *pagedTrace) ([]Figure5Point, error) {
 		var points []Figure5Point
 		for _, kb := range sizesKB {
 			for _, a := range assocs {
@@ -571,11 +574,7 @@ func Figure5(opt Options) (*Figure5Result, error) {
 						Seed:   p.Seed*1000 + uint64(kb)*10 + uint64(a),
 					})
 					mapper.ResetTrial(uint64(trial))
-					c := cache.MustNew(cache.Config{Size: kb * 1024, LineSize: 32, Assoc: a})
-					for _, r := range refs {
-						c.Access(mapper.Translate(r.Addr, r.Domain))
-					}
-					st := c.Stats()
+					st := t.stats(mapper, cache.Config{Size: kb * 1024, LineSize: 32, Assoc: a})
 					mpi := float64(st.Misses) / float64(st.Accesses)
 					sample.Add(mpi * missPenalty)
 				}

@@ -53,9 +53,14 @@ func (p Policy) String() string {
 	}
 }
 
+// DefaultPageSize is the page size a zero Config.PageSize selects: the
+// DECstation's 4-KB pages.
+const DefaultPageSize = 4096
+
 // Config describes a page-mapping environment.
 type Config struct {
-	// PageSize is the page size in bytes; a power of two. Default 4096.
+	// PageSize is the page size in bytes; a power of two. Default
+	// DefaultPageSize.
 	PageSize int
 	// Frames is the number of physical frames available. Zero means
 	// unbounded (frames are never reused). When bounded, allocation wraps:
@@ -94,7 +99,7 @@ type mapKey struct {
 // NewMapper validates cfg and returns an empty Mapper.
 func NewMapper(cfg Config) (*Mapper, error) {
 	if cfg.PageSize == 0 {
-		cfg.PageSize = 4096
+		cfg.PageSize = DefaultPageSize
 	}
 	if cfg.PageSize <= 0 || cfg.PageSize&(cfg.PageSize-1) != 0 {
 		return nil, fmt.Errorf("vm: page size %d must be a positive power of two", cfg.PageSize)
