@@ -164,7 +164,7 @@ func RunColumnarBench(opt Options) (*ColumnarBench, error) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	probe := &memProbe{bs: bf, peak: ms.HeapInuse}
+	probe := &memProbe{BlockSource: bf, peak: ms.HeapInuse}
 	base := ms.HeapInuse
 	if _, err := replay.Blocks(ctx, probe, bank); err != nil {
 		return nil, fmt.Errorf("check: columnar bench: probed replay: %w", err)
@@ -245,17 +245,15 @@ func RunColumnarBench(opt Options) (*ColumnarBench, error) {
 // memProbe wraps a BlockSource, sampling HeapInuse before every block read
 // to catch the replay's peak residency.
 type memProbe struct {
-	bs   trace.BlockSource
+	trace.BlockSource
 	peak uint64
 }
 
-func (p *memProbe) NumBlocks() int                  { return p.bs.NumBlocks() }
-func (p *memProbe) BlockMeta(i int) trace.BlockMeta { return p.bs.BlockMeta(i) }
 func (p *memProbe) BlockRuns(i int, dst []trace.Run) ([]trace.Run, error) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	if ms.HeapInuse > p.peak {
 		p.peak = ms.HeapInuse
 	}
-	return p.bs.BlockRuns(i, dst)
+	return p.BlockSource.BlockRuns(i, dst)
 }

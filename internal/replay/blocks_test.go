@@ -113,58 +113,6 @@ func TestSampledBlocksRejectsBadPlan(t *testing.T) {
 	}
 }
 
-// blockCursor.walk must reconstruct exactly the instructions of [pos, pos+n)
-// for arbitrary positions, including across block boundaries, backward
-// seeks, and clipping at the trace end.
-func TestBlockCursorWalk(t *testing.T) {
-	runs := trace.Compact(testTrace(23, 30000))
-	cf := columnarSource(t, runs, 512)
-
-	// Expand the trace once as the oracle.
-	var addrs []uint64
-	for _, r := range runs {
-		a := r.Start
-		for j := int64(0); j < r.Len; j++ {
-			addrs = append(addrs, a)
-			a += trace.InstrBytes
-		}
-	}
-
-	cur := newBlockCursor(cf)
-	if cur.total() != int64(len(addrs)) {
-		t.Fatalf("total %d, want %d", cur.total(), len(addrs))
-	}
-	windows := []struct{ pos, n int64 }{
-		{0, 1}, {0, 100}, {500, 3000}, {int64(len(addrs)) - 10, 100},
-		{int64(len(addrs)), 50}, {7, 1}, {2, 9000}, // backward seek after a long walk
-		{int64(len(addrs)) / 2, 1},
-	}
-	for _, w := range windows {
-		var got []uint64
-		err := cur.walk(w.pos, w.n, func(start uint64, cnt int64) {
-			for j := int64(0); j < cnt; j++ {
-				got = append(got, start+uint64(j)*trace.InstrBytes)
-			}
-		})
-		if err != nil {
-			t.Fatalf("walk(%d,%d): %v", w.pos, w.n, err)
-		}
-		end := w.pos + w.n
-		if end > int64(len(addrs)) {
-			end = int64(len(addrs))
-		}
-		want := addrs[w.pos:end]
-		if len(got) != len(want) {
-			t.Fatalf("walk(%d,%d) yielded %d instructions, want %d", w.pos, w.n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("walk(%d,%d) instruction %d = %#x, want %#x", w.pos, w.n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // A trace much larger than one block must replay through Blocks without the
 // driver ever materializing it: spot-check via a single blocking engine
 // against fetch.Run on the expanded refs.

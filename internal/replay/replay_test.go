@@ -84,10 +84,11 @@ func TestReplayMatchesPerConfig(t *testing.T) {
 	}
 }
 
-// Refs is Replay after compaction.
-func TestRefsConvenience(t *testing.T) {
+// A per-reference trace replays through the Source adapter exactly as its
+// compaction replays in memory.
+func TestChunksOverRefs(t *testing.T) {
 	refs := testTrace(2, 20000)
-	got, err := Refs(context.Background(), refs, bank(t))
+	got, err := Chunks(context.Background(), trace.SourceChunks(trace.NewSliceSource(refs)), bank(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

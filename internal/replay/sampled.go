@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"ibsim/internal/fetch"
@@ -96,33 +97,88 @@ type SampledResult struct {
 	Estimate sampling.Estimate
 }
 
-// Sampled replays the trace sample through every engine in the bank and
-// returns per-engine estimates in bank order. Engines are mutated (fed the
-// sample); as with Replay, pass freshly built engines.
-func Sampled(ctx context.Context, runs []trace.Run, engines []fetch.Engine, plan SamplePlan) ([]SampledResult, error) {
+// skips reports whether the plan is skip-mode time sampling with gaps
+// between windows: the one plan that never feeds an unmeasured instruction,
+// so a source with windows can jump from window to window.
+func (p SamplePlan) skips() bool { return p.timeMode() && !p.Warm && p.Window < p.Period }
+
+// SampledChunks replays a sample of the trace src yields through every
+// engine in the bank and returns per-engine estimates in bank order. Engines
+// are mutated (fed the sample); as with Chunks, pass freshly built engines.
+//
+// A skip-mode time plan over a source with windows (trace.Windows: a
+// columnar block index, or a checkpointed trace.Seeker) reads only the
+// measured windows, each entered with one seek, so the gaps are never
+// decoded or generated: a 1% plan over a 100 GB trace touches ~1 GB of it.
+// Every other plan streams each chunk through per-engine state that carries
+// across chunks, so results do not depend on how the trace is chunked; the
+// degenerate Window == Period plan streams too, because measuring
+// everything accumulates one trace-wide cluster.
+func SampledChunks(ctx context.Context, src trace.Chunks, engines []fetch.Engine, plan SamplePlan) ([]SampledResult, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	results := make([]SampledResult, len(engines))
-	if plan.timeMode() {
-		for i, e := range engines {
-			r, err := sampledTime(ctx, runs, e, plan)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = r
-		}
-		return results, nil
+	if !plan.timeMode() {
+		return sampledSet(ctx, src, engines, plan)
 	}
-	subs, total := setSubruns(runs, plan)
+	samplers := make([]*timeSampler, len(engines))
 	for i, e := range engines {
-		r, err := sampledSet(ctx, subs, total, e, plan)
+		samplers[i] = newTimeSampler(e, plan)
+	}
+	if w, ok := src.(trace.Windows); ok && plan.skips() {
+		err := trace.EachWindow(ctx, w, plan.Window, plan.Period, func(spans []trace.Run) {
+			for _, s := range samplers {
+				s.window(spans)
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
-		results[i] = r
+		for _, s := range samplers {
+			s.pos = w.Total()
+		}
+	} else {
+		err := trace.EachChunk(ctx, src, func(runs []trace.Run) error {
+			for _, s := range samplers {
+				if err := s.feed(ctx, runs); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	results := make([]SampledResult, len(samplers))
+	for i, s := range samplers {
+		results[i] = s.finish()
 	}
 	return results, nil
+}
+
+// Sampled is SampledChunks over an in-memory run-compacted trace.
+func Sampled(ctx context.Context, runs []trace.Run, engines []fetch.Engine, plan SamplePlan) ([]SampledResult, error) {
+	return SampledChunks(ctx, trace.RunChunks(runs), engines, plan)
+}
+
+// SampledBlocks is SampledChunks over a block-granular trace (a columnar
+// file): skip-mode windows seek through the block index, warm and
+// full-coverage plans hold one block at a time, and set plans hold the
+// 1/SetMod of the runs in the sampled class.
+func SampledBlocks(ctx context.Context, bs trace.BlockSource, engines []fetch.Engine, plan SamplePlan) ([]SampledResult, error) {
+	return SampledChunks(ctx, trace.NewBlockChunks(bs), engines, plan)
+}
+
+// SampledSeek is SampledChunks over a checkpointed seekable source, which
+// generates only the measured windows: O(sampled refs + windows ·
+// checkpoint interval) instead of O(n). Plans other than skip-mode time
+// sampling would walk the whole trace and are refused.
+func SampledSeek(ctx context.Context, src trace.Seeker, engines []fetch.Engine, plan SamplePlan) ([]SampledResult, error) {
+	if !plan.skips() {
+		return nil, errors.New("replay: SampledSeek requires skip-mode time sampling with window < period (warm mode must walk skipped spans; use Sampled)")
+	}
+	return SampledChunks(ctx, trace.SeekChunks(src), engines, plan)
 }
 
 // resultDelta subtracts two counter snapshots.
@@ -158,10 +214,9 @@ func feedSpan(e fetch.Engine, re fetch.RunEngine, start uint64, n int64) {
 }
 
 // timeSampler is the time-sampling state machine for one engine, carried
-// across arbitrarily chunked feeds: sampledTime pushes the whole run slice
-// through it at once, SampledBlocks pushes one block at a time, and both
-// produce identical results because all the state — window phase, open
-// snapshot, cluster list — lives here rather than in a loop frame.
+// across arbitrarily chunked feeds: all the state — window phase, open
+// snapshot, cluster list — lives here rather than in a loop frame, so one
+// slice or one block at a time produce identical results.
 type timeSampler struct {
 	e    fetch.Engine
 	re   fetch.RunEngine
@@ -229,6 +284,17 @@ func (s *timeSampler) feed(ctx context.Context, runs []trace.Run) error {
 	return nil
 }
 
+// window feeds one measured window's spans as one cluster: the skip-mode
+// path over a source with windows, which never sees the gaps.
+func (s *timeSampler) window(spans []trace.Run) {
+	s.prev = s.e.Result()
+	s.inWindow = true
+	for _, sp := range spans {
+		feedSpan(s.e, s.re, sp.Start, sp.Len)
+	}
+	s.closeWindow()
+}
+
 // finish closes any open window and assembles the result.
 func (s *timeSampler) finish() SampledResult {
 	s.closeWindow()
@@ -241,21 +307,10 @@ func (s *timeSampler) finish() SampledResult {
 	return res
 }
 
-// sampledTime replays one engine under a time plan: measured windows are
-// delimited by Result snapshots, each window one variance cluster.
-func sampledTime(ctx context.Context, runs []trace.Run, e fetch.Engine, plan SamplePlan) (SampledResult, error) {
-	s := newTimeSampler(e, plan)
-	if err := s.feed(ctx, runs); err != nil {
-		return SampledResult{}, err
-	}
-	return s.finish(), nil
-}
-
 // setFilter incrementally filters a trace down to the sampled congruence
 // class, split into setClusters subgroups by the line-address bits just
-// above the modulus. Runs arrive in any chunking (a materialized slice, or
-// block by block from a BlockSource) and the subgroup lists come out
-// identical — the streaming core shared by Sampled and SampledBlocks.
+// above the modulus. Runs arrive in any chunking and the subgroup lists come
+// out identical.
 type setFilter struct {
 	subs     [][]trace.Run
 	shift    uint
@@ -314,33 +369,37 @@ func (f *setFilter) add(r trace.Run) {
 	}
 }
 
-// setSubruns filters the trace down to the sampled congruence class once
-// (shared by every engine in the bank). Returns the subgroup run lists and
-// the total instruction count of the unfiltered trace.
-func setSubruns(runs []trace.Run, plan SamplePlan) ([][]trace.Run, int64) {
-	f := newSetFilter(plan)
-	for _, r := range runs {
-		f.add(r)
-	}
-	return f.subs, f.total
-}
-
-// sampledSet replays the pre-filtered subgroups through one engine, one
+// sampledSet filters the trace down to the sampled congruence class once,
+// shared by the bank, then replays the subgroups through each engine, one
 // Result snapshot per subgroup.
-func sampledSet(ctx context.Context, subs [][]trace.Run, total int64, e fetch.Engine, plan SamplePlan) (SampledResult, error) {
-	var res SampledResult
-	clusters := make([]sampling.Cluster, 0, len(subs))
-	var prev fetch.Result
-	for _, sub := range subs {
-		if err := replayOne(ctx, sub, e); err != nil {
-			return SampledResult{}, err
+func sampledSet(ctx context.Context, src trace.Chunks, engines []fetch.Engine, plan SamplePlan) ([]SampledResult, error) {
+	f := newSetFilter(plan)
+	err := trace.EachChunk(ctx, src, func(runs []trace.Run) error {
+		for _, r := range runs {
+			f.add(r)
 		}
-		cur := e.Result()
-		d := resultDelta(cur, prev)
-		prev = cur
-		clusters = append(clusters, sampling.Cluster{Instructions: d.Instructions, Misses: d.Misses})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Measured = e.Result()
-	res.Estimate = sampling.EstimateFrom(clusters, total, 1/float64(plan.SetMod))
-	return res, nil
+	results := make([]SampledResult, len(engines))
+	for i, e := range engines {
+		clusters := make([]sampling.Cluster, 0, len(f.subs))
+		var prev fetch.Result
+		for _, sub := range f.subs {
+			if err := replayOne(ctx, sub, e); err != nil {
+				return nil, err
+			}
+			cur := e.Result()
+			d := resultDelta(cur, prev)
+			prev = cur
+			clusters = append(clusters, sampling.Cluster{Instructions: d.Instructions, Misses: d.Misses})
+		}
+		results[i] = SampledResult{
+			Measured: e.Result(),
+			Estimate: sampling.EstimateFrom(clusters, f.total, 1/float64(plan.SetMod)),
+		}
+	}
+	return results, nil
 }

@@ -704,13 +704,6 @@ func autoSweepSpec(cells []sweep.Cell, n int64) SamplingSpec {
 	return SamplingSpec{Window: w, Period: autoPeriodMul * w, Skip: true}
 }
 
-// seekable reports whether the spec is skip-mode time sampling with a real
-// gap between windows — the only shape the checkpoint-seek streaming tier
-// can serve, since it never generates the skipped spans at all.
-func (sp SamplingSpec) seekable() bool {
-	return sp.Set <= 1 && sp.Skip && sp.Window > 0 && sp.Window < sp.Period
-}
-
 // mode names the spec's sampling dimension for SamplingInfo.
 func (sp SamplingSpec) mode() string {
 	if sp.Set > 1 {
@@ -719,143 +712,44 @@ func (sp SamplingSpec) mode() string {
 	return "time"
 }
 
-// sampledSweep runs one sampled pass over the run-compacted trace. The
-// compacted trace is ~6x smaller than the ref trace, which is exactly why
-// this is the mid-tier: requests whose refs are over the store budget
-// usually still fit as runs. With spill set (explicit sampling requests),
-// runs over budget fall back to iterating the on-disk columnar trace block
-// by block — the sampling ask is still satisfied exactly as specified, just
-// at disk bandwidth instead of RAM. The automatic ladder passes spill=false:
-// when the runs are over budget it prefers the EXACT columnar tier over
-// sampling from disk.
-func (s *Server) sampledSweep(ctx context.Context, p sweep.Pass, prof synth.Profile, seed uint64, n int64, spec SamplingSpec, spill bool) (*sweep.SampledMatrix, error) {
-	sp := sweep.SampledPass{LineSize: p.LineSize, Cells: p.Cells, CountDistinct: p.CountDistinct, Ctx: ctx}
-	if spec.Set > 1 {
-		sp.SetMod = spec.Set
-		sp.SetMatch = autoSetMatch % spec.Set
-	} else {
-		sp.Window, sp.Period, sp.Warm = spec.Window, spec.Period, !spec.Skip
-	}
-	runs, release, err := s.store.RunsOnly(ctx, prof, seed, n)
-	if err == nil {
-		defer release()
-		return sp.Run(runs)
-	}
-	if !spill || !errors.Is(err, synth.ErrOverBudget) {
-		return nil, err
-	}
-	cf, release, err := s.store.Columnar(ctx, prof, seed, n)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	s.mColumnar.Add(1)
-	return sp.RunBlocks(cf)
-}
-
-// sweepMatrix answers one sweep through the degradation ladder. A request
-// carrying an explicit sampling spec runs sampled from the start (not
-// degraded: reduced fidelity was the ask; the sampled pass itself falls
-// back from RAM runs to the on-disk columnar trace). Otherwise: exact over
-// the materialized trace; if the store refuses, the sampling tier
-// (auto-policy sampled pass, explicit intervals, degraded); then the
-// columnar-disk tier (an EXACT answer iterated block by block from the
-// on-disk columnar trace at disk bandwidth); streaming regeneration only if
-// even the columnar file is over budget.
+// sweepMatrix answers one sweep through the degradation ladder: exactly
+// from the materialized refs when they fit, otherwise as ladder decides.
+// Exactly one of m and sm is set; mode names sm's sampling dimension.
 func (s *Server) sweepMatrix(ctx context.Context, p sweep.Pass, prof synth.Profile, seed uint64, n int64, spec *SamplingSpec) (m *sweep.Matrix, sm *sweep.SampledMatrix, mode string, degraded bool, reason string, err error) {
-	if spec != nil {
-		sm, err = s.sampledSweep(ctx, p, prof, seed, n, *spec, true)
-		if err == nil {
-			return nil, sm, spec.mode(), false, "", nil
-		}
-		if !errors.Is(err, synth.ErrOverBudget) {
-			return nil, nil, "", false, "", err
-		}
-		if spec.seekable() {
-			// Skip-mode time sampling never looks at the skipped spans, so a
-			// checkpointed seekable source can serve the EXACT sampling ask
-			// in O(1) memory by jumping between measured windows.
-			sm, err = s.seekSampledSweep(ctx, p, prof, seed, n, *spec)
-			if err == nil {
-				s.mSeek.Add(1)
-				return nil, sm, spec.mode(), false, "", nil
+	used, degraded, reason, err := s.ladder(ctx, prof, seed, n, spec, autoSweepSpec(p.Cells, n), family{
+		materialized: func() error {
+			refs, release, err := s.store.InstrCtx(ctx, prof, seed, n)
+			if err != nil {
+				return err
 			}
-			if !errors.Is(err, synth.ErrOverBudget) {
-				return nil, nil, "", false, "", err
+			defer release()
+			m, err = p.Run(refs)
+			return err
+		},
+		sampled: func(spec SamplingSpec, src trace.Chunks) (err error) {
+			sp := sweep.SampledPass{LineSize: p.LineSize, Cells: p.Cells, CountDistinct: p.CountDistinct, Ctx: ctx}
+			if spec.Set > 1 {
+				sp.SetMod, sp.SetMatch = spec.Set, autoSetMatch%spec.Set
+			} else {
+				sp.Window, sp.Period, sp.Warm = spec.Window, spec.Period, !spec.Skip
 			}
-		}
-		m, err = s.streamedSweep(ctx, p, prof, seed, n)
-		return m, nil, "", true,
-			"sampling requested but even the columnar trace exceeds the store's hard budget; streamed an exact answer instead", err
+			sm, err = sp.RunChunks(src)
+			return err
+		},
+		exact: func(src trace.Chunks) (err error) {
+			m, err = p.RunChunks(src)
+			return err
+		},
+		why: [3]string{
+			"sampling requested but even the columnar trace exceeds the store's hard budget; streamed an exact answer instead",
+			"trace exceeds the store's hard budget; answered by sampled simulation over the run-compacted trace (95% confidence intervals attached)",
+			"trace exceeds the store's hard budget; streamed without materializing",
+		},
+	})
+	if err != nil || used == nil {
+		return m, nil, "", degraded, reason, err
 	}
-	refs, release, err := s.store.InstrCtx(ctx, prof, seed, n)
-	if err == nil {
-		defer release()
-		m, err = p.Run(refs)
-		return m, nil, "", false, "", err
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, "", false, "", err
-	}
-	auto := autoSweepSpec(p.Cells, n)
-	sm, err = s.sampledSweep(ctx, p, prof, seed, n, auto, false)
-	if err == nil {
-		s.mSampled.Add(1)
-		return nil, sm, auto.mode(), true,
-			"trace exceeds the store's hard budget; answered by sampled simulation over the run-compacted trace (95% confidence intervals attached)", nil
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, "", false, "", err
-	}
-	m, err = s.columnarSweep(ctx, p, prof, seed, n)
-	if err == nil {
-		return m, nil, "", true,
-			"trace exceeds the store's hard RAM budget; answered exactly from the on-disk columnar trace", nil
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, "", false, "", err
-	}
-	m, err = s.streamedSweep(ctx, p, prof, seed, n)
-	return m, nil, "", true, "trace exceeds the store's hard budget; streamed without materializing", err
-}
-
-// columnarSweep is the columnar-disk rung: an exact pass iterated block by
-// block over the store's on-disk columnar trace in O(block) memory.
-func (s *Server) columnarSweep(ctx context.Context, p sweep.Pass, prof synth.Profile, seed uint64, n int64) (*sweep.Matrix, error) {
-	cf, release, err := s.store.Columnar(ctx, prof, seed, n)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	s.mColumnar.Add(1)
-	return p.RunBlocks(cf)
-}
-
-// seekSampledSweep is the seek-streaming rung for explicit skip-mode time
-// sampling: when neither the runs nor the columnar file fit the budget, the
-// pass runs over a checkpointed seekable source that jumps straight between
-// measured windows — the sampling ask is still honored exactly as
-// specified, generating only O(sampled refs) in O(1) memory.
-func (s *Server) seekSampledSweep(ctx context.Context, p sweep.Pass, prof synth.Profile, seed uint64, n int64, spec SamplingSpec) (*sweep.SampledMatrix, error) {
-	sp := sweep.SampledPass{LineSize: p.LineSize, Cells: p.Cells, CountDistinct: p.CountDistinct, Ctx: ctx,
-		Window: spec.Window, Period: spec.Period}
-	src, release, err := s.store.SeekSource(prof, seed, n)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return sp.RunSeek(src)
-}
-
-// streamedSweep is the last rung: an exact pass over streaming regeneration
-// in O(1) memory.
-func (s *Server) streamedSweep(ctx context.Context, p sweep.Pass, prof synth.Profile, seed uint64, n int64) (*sweep.Matrix, error) {
-	src, release, err := s.store.Source(prof, seed, n)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return p.RunSource(&ctxSource{src: src, ctx: ctx})
+	return nil, sm, used.mode(), degraded, reason, nil
 }
 
 // --- /v1/replay ---------------------------------------------------------
@@ -958,140 +852,171 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// sampledReplay fans a time-sampled trace through the bank over the
-// run-compacted trace. With spill set (explicit sampling requests), runs
-// over budget fall back to block-granular sampled replay over the on-disk
-// columnar trace — skip-mode plans then seek straight to each measured
-// window through the block index instead of decoding the gaps.
-func (s *Server) sampledReplay(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine, spec SamplingSpec, spill bool) ([]replay.SampledResult, error) {
-	plan := replay.SamplePlan{Window: spec.Window, Period: spec.Period, Warm: !spec.Skip}
-	runs, release, err := s.store.RunsOnly(ctx, prof, seed, n)
-	if err == nil {
-		defer release()
-		return replay.Sampled(ctx, runs, engines, plan)
-	}
-	if !spill || !errors.Is(err, synth.ErrOverBudget) {
-		return nil, err
-	}
-	cf, release, err := s.store.Columnar(ctx, prof, seed, n)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	s.mColumnar.Add(1)
-	return replay.SampledBlocks(ctx, cf, engines, plan)
-}
-
-// replayBank fans the trace out through the engines, down the same
-// degradation ladder as sweepMatrix: an explicit sampling spec runs sampled
-// from the start (not degraded; the sampled replay itself falls back from
-// RAM runs to the on-disk columnar trace); otherwise exact over the
-// memoized run-compacted trace, then the automatic sampling tier (skip-mode
-// time sampling, degraded, intervals attached), then the columnar-disk tier
-// (EXACT block-granular fan-out from the on-disk columnar trace), and
-// finally one streaming regeneration per engine.
+// replayBank fans the trace out through the engines down the degradation
+// ladder: exactly from the memoized run-compacted trace when it fits,
+// otherwise as ladder decides, with skip-mode time sampling as the
+// automatic tier. Exactly one of results and sampled is set.
 func (s *Server) replayBank(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine, spec *SamplingSpec) (results []fetch.Result, sampled []replay.SampledResult, degraded bool, reason string, err error) {
-	if spec != nil {
-		sampled, err = s.sampledReplay(ctx, prof, seed, n, engines, *spec, true)
-		if err == nil {
-			return nil, sampled, false, "", nil
-		}
-		if !errors.Is(err, synth.ErrOverBudget) {
-			return nil, nil, false, "", err
-		}
-		if spec.seekable() {
-			// Over-budget failures happen before any engine is fed, so the
-			// bank is still fresh for the seek-streaming rung.
-			sampled, err = s.seekSampledReplay(ctx, prof, seed, n, engines, *spec)
-			if err == nil {
-				s.mSeek.Add(1)
-				return nil, sampled, false, "", nil
-			}
-			if !errors.Is(err, synth.ErrOverBudget) {
-				return nil, nil, false, "", err
-			}
-		}
-		results, err = s.streamedReplay(ctx, prof, seed, n, engines)
-		return results, nil, true,
-			"sampling requested but even the columnar trace exceeds the store's hard budget; replayed exactly from streaming regeneration", err
-	}
-	_, runs, release, err := s.store.InstrRuns(ctx, prof, seed, n)
-	if err == nil {
-		defer release()
-		results, err = replay.Replay(ctx, runs, engines)
-		return results, nil, false, "", err
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, false, "", err
-	}
 	w := autoWindow(n)
 	auto := SamplingSpec{Window: w, Period: autoPeriodMul * w, Skip: true}
-	sampled, err = s.sampledReplay(ctx, prof, seed, n, engines, auto, false)
-	if err == nil {
+	used, degraded, reason, err := s.ladder(ctx, prof, seed, n, spec, auto, family{
+		materialized: func() error {
+			_, runs, release, err := s.store.InstrRuns(ctx, prof, seed, n)
+			if err != nil {
+				return err
+			}
+			defer release()
+			results, err = replay.Replay(ctx, runs, engines)
+			return err
+		},
+		sampled: func(spec SamplingSpec, src trace.Chunks) (err error) {
+			plan := replay.SamplePlan{Window: spec.Window, Period: spec.Period, Warm: !spec.Skip}
+			sampled, err = replay.SampledChunks(ctx, src, engines, plan)
+			return err
+		},
+		// The columnar tier splits the bank across the CPUs; results stay
+		// bit-identical to the serial path (differential/blocks-parallel).
+		exact: func(src trace.Chunks) (err error) {
+			results, err = replay.Chunks(ctx, src, engines, runtime.GOMAXPROCS(0))
+			return err
+		},
+		why: [3]string{
+			"sampling requested but even the columnar trace exceeds the store's hard budget; replayed exactly from streaming regeneration",
+			"trace exceeds the store's hard budget; answered by time-sampled replay over the run-compacted trace (95% confidence intervals attached)",
+			"trace exceeds the store's hard budget; replayed from streaming regeneration",
+		},
+	})
+	if err != nil || used == nil {
+		return results, nil, degraded, reason, err
+	}
+	return nil, sampled, degraded, reason, nil
+}
+
+// family is one request family's ways to answer, for ladder: exactly from
+// the materialized trace (ErrOverBudget when it does not fit), sampled or
+// exactly over a chunk source, and its degradation reasons for an explicit
+// sampling ask answered by streaming, the automatic sampling tier, and the
+// exact streaming tier.
+type family struct {
+	materialized func() error
+	sampled      func(spec SamplingSpec, src trace.Chunks) error
+	exact        func(src trace.Chunks) error
+	why          [3]string
+}
+
+// ladder answers one request down the degradation ladder shared by sweeps
+// and replays, and returns the spec the answer was sampled under (nil for
+// an exact answer). An explicit sampling spec runs sampled from the start
+// (not degraded: reduced fidelity was the ask) over the RAM runs, else the
+// on-disk columnar trace at disk bandwidth, else — for skip-mode time
+// sampling, which never looks at the skipped spans — a checkpointed
+// seekable source that jumps between measured windows in O(1) memory;
+// failing all three it streams an exact answer. Otherwise: exact over the
+// materialized trace; if the store refuses, the automatic sampling tier
+// over the run-compacted trace (~6x smaller than the refs, so it usually
+// still fits; degraded, intervals attached); then the columnar-disk tier (an
+// EXACT answer at disk bandwidth); streaming regeneration only if even the
+// columnar file is over budget. Over-budget failures happen before anything
+// is simulated, so every rung starts fresh.
+func (s *Server) ladder(ctx context.Context, prof synth.Profile, seed uint64, n int64, spec *SamplingSpec, auto SamplingSpec, f family) (used *SamplingSpec, degraded bool, reason string, err error) {
+	sampled := func(spec SamplingSpec, tiers ...tier) (tier, error) {
+		return s.withTrace(ctx, prof, seed, n, tiers, func(src trace.Chunks) error { return f.sampled(spec, src) })
+	}
+	exact := func(tiers ...tier) (tier, error) { return s.withTrace(ctx, prof, seed, n, tiers, f.exact) }
+	if spec != nil {
+		t, err := sampled(*spec, spec.tiers()...)
+		if err == nil {
+			if t == tierSeek {
+				s.mSeek.Add(1)
+			}
+			return spec, false, "", nil
+		}
+		if !errors.Is(err, synth.ErrOverBudget) {
+			return nil, false, "", err
+		}
+		_, err = exact(tierStream)
+		return nil, true, f.why[0], err
+	}
+	if err = f.materialized(); !errors.Is(err, synth.ErrOverBudget) {
+		return nil, false, "", err
+	}
+	if _, err = sampled(auto, tierRuns); err == nil {
 		s.mSampled.Add(1)
-		return nil, sampled, true,
-			"trace exceeds the store's hard budget; answered by time-sampled replay over the run-compacted trace (95% confidence intervals attached)", nil
+		return &auto, true, f.why[1], nil
 	}
 	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, false, "", err
+		return nil, false, "", err
 	}
-	results, err = s.columnarReplay(ctx, prof, seed, n, engines)
-	if err == nil {
-		return results, nil, true,
-			"trace exceeds the store's hard RAM budget; answered exactly from the on-disk columnar trace", nil
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, nil, false, "", err
-	}
-	results, err = s.streamedReplay(ctx, prof, seed, n, engines)
-	return results, nil, true, "trace exceeds the store's hard budget; replayed from streaming regeneration", err
-}
-
-// seekSampledReplay is the replay path's seek-streaming rung for explicit
-// skip-mode time sampling: a checkpointed seekable source feeds the bank
-// only the measured windows, honoring the sampling ask exactly in O(1)
-// memory when neither runs nor the columnar file fit the budget.
-func (s *Server) seekSampledReplay(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine, spec SamplingSpec) ([]replay.SampledResult, error) {
-	src, release, err := s.store.SeekSource(prof, seed, n)
+	t, err := exact(tierColumnar, tierStream)
 	if err != nil {
-		return nil, err
+		return nil, false, "", err
 	}
-	defer release()
-	return replay.SampledSeek(ctx, src, engines, replay.SamplePlan{Window: spec.Window, Period: spec.Period})
+	if t == tierColumnar {
+		return nil, true, "trace exceeds the store's hard RAM budget; answered exactly from the on-disk columnar trace", nil
+	}
+	return nil, true, f.why[2], nil
 }
 
-// columnarReplay is the replay path's columnar-disk rung: an exact
-// block-granular fan-out over the store's on-disk columnar trace,
-// parallelized across the bank (replay.BlocksParallel partitions the
-// simulated engines over the CPUs; results stay bit-identical to the serial
-// path, pinned by the differential/blocks-parallel check).
-func (s *Server) columnarReplay(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine) ([]fetch.Result, error) {
-	cf, release, err := s.store.Columnar(ctx, prof, seed, n)
-	if err != nil {
-		return nil, err
+// Trace tiers, in ladder order: the memoized run-compacted trace in RAM,
+// the on-disk columnar trace read block by block, a checkpointed seekable
+// source, and streaming regeneration.
+type tier int
+
+const (
+	tierRuns tier = iota
+	tierColumnar
+	tierSeek
+	tierStream
+)
+
+// tiers lists the trace tiers an explicit sampling spec may be served
+// from. Only skip-mode time sampling with a real gap between windows can use
+// the seek tier, since it never generates the skipped spans at all.
+func (sp SamplingSpec) tiers() []tier {
+	if sp.Set <= 1 && sp.Skip && sp.Window > 0 && sp.Window < sp.Period {
+		return []tier{tierRuns, tierColumnar, tierSeek}
 	}
-	defer release()
-	s.mColumnar.Add(1)
-	return replay.BlocksParallel(ctx, cf, engines, runtime.GOMAXPROCS(0))
+	return []tier{tierRuns, tierColumnar}
 }
 
-// streamedReplay is the replay path's last rung: one exact streaming
-// regeneration per engine in O(1) memory.
-func (s *Server) streamedReplay(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine) ([]fetch.Result, error) {
-	results := make([]fetch.Result, len(engines))
-	for i, e := range engines {
-		src, release, err := s.store.Source(prof, seed, n)
-		if err != nil {
-			return nil, err
+// withTrace runs fn over prof's trace, acquired as a chunk source from the
+// first of tiers the store's budget admits, and reports which tier served.
+// An over-budget tier falls through to the next; any other error stops the
+// ladder. A columnar acquisition is counted in columnar_tier_total.
+func (s *Server) withTrace(ctx context.Context, prof synth.Profile, seed uint64, n int64, tiers []tier, fn func(trace.Chunks) error) (tier, error) {
+	var err error
+	for _, t := range tiers {
+		var src trace.Chunks
+		var release func()
+		switch t {
+		case tierRuns:
+			var runs []trace.Run
+			runs, release, err = s.store.RunsOnly(ctx, prof, seed, n)
+			src = trace.RunChunks(runs)
+		case tierColumnar:
+			var cf *trace.ColumnarFile
+			if cf, release, err = s.store.Columnar(ctx, prof, seed, n); err == nil {
+				s.mColumnar.Add(1)
+			}
+			src = trace.NewBlockChunks(cf)
+		case tierSeek:
+			var ss *synth.SeekSource
+			ss, release, err = s.store.SeekSource(prof, seed, n)
+			src = trace.SeekChunks(ss)
+		case tierStream:
+			var st trace.Source
+			st, release, err = s.store.Source(prof, seed, n)
+			src = trace.SourceChunks(st)
 		}
-		res, rerr := fetch.RunSource(e, &ctxSource{src: src, ctx: ctx})
-		release()
-		if rerr != nil {
-			return nil, rerr
+		if err == nil {
+			defer release()
+			return t, fn(src)
 		}
-		results[i] = res
+		if !errors.Is(err, synth.ErrOverBudget) {
+			return t, err
+		}
 	}
-	return results, nil
+	return 0, err
 }
 
 // --- /v1/exhibit --------------------------------------------------------
@@ -1210,33 +1135,4 @@ func joinReasons(reasons ...string) string {
 		out += r
 	}
 	return out
-}
-
-// ctxSource wraps a trace.Source with periodic context polling so a
-// streaming replay honors cancellation mid-trace.
-type ctxSource struct {
-	src trace.Source
-	ctx context.Context
-	n   int64
-	err error
-}
-
-// Next implements trace.Source.
-func (c *ctxSource) Next() (trace.Ref, bool) {
-	if c.n&0xffff == 0 {
-		if err := c.ctx.Err(); err != nil {
-			c.err = err
-			return trace.Ref{}, false
-		}
-	}
-	c.n++
-	return c.src.Next()
-}
-
-// Err implements trace.Source: a context error dominates the stream's own.
-func (c *ctxSource) Err() error {
-	if c.err != nil {
-		return c.err
-	}
-	return c.src.Err()
 }

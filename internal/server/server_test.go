@@ -300,12 +300,15 @@ func TestNearDeadlineDegrades(t *testing.T) {
 
 // When the store refuses to materialize the trace (hard budget), sweep and
 // replay fall back to streaming regeneration: same numbers, degraded=true.
+// The streamed replay regenerates the trace once for the whole bank — a
+// blocking engine, a stream-buffer engine, and a second blocking engine
+// whose result is derived analytically from the first — so the store counts
+// exactly one streaming fallback per replay request.
 func TestOverBudgetStreamsDegraded(t *testing.T) {
-	run := func(t *testing.T, hardBudget int64) (SweepResponse, ReplayResponse) {
+	run := func(t *testing.T, hardBudget int64) (SweepResponse, ReplayResponse, int64) {
 		t.Helper()
-		_, ts := testServer(t, func(c *Config) {
-			c.Store = synth.NewStoreLimits(1<<26, hardBudget)
-		})
+		store := synth.NewStoreLimits(1<<26, hardBudget)
+		_, ts := testServer(t, func(c *Config) { c.Store = store })
 		sreq := SweepRequest{Workload: "eqntott", Instructions: 100_000, LineSize: 32,
 			Cells: []CellSpec{{Sets: 64, Assoc: 1}, {Sets: 512, Assoc: 2}}}
 		var sresp SweepResponse
@@ -313,16 +316,21 @@ func TestOverBudgetStreamsDegraded(t *testing.T) {
 			t.Fatalf("sweep = %d: %s", code, raw)
 		}
 		rreq := ReplayRequest{Workload: "eqntott", Instructions: 100_000,
-			Engines: []EngineSpec{{Size: 8192, LineSize: 32, Assoc: 1, Link: LinkSpec{Name: "economy"}}}}
+			Engines: []EngineSpec{
+				{Size: 8192, LineSize: 32, Assoc: 1, Link: LinkSpec{Name: "economy"}},
+				{Kind: "stream", Size: 8192, LineSize: 16, Assoc: 1, Depth: 4, Link: LinkSpec{Name: "l1l2"}},
+				{Size: 8192, LineSize: 32, Assoc: 1, Link: LinkSpec{Name: "highperf"}},
+			}}
+		before := store.Stats().Fallbacks
 		var rresp ReplayResponse
 		if code, raw := postJSON(t, ts.URL+"/v1/replay", rreq, &rresp); code != 200 {
 			t.Fatalf("replay = %d: %s", code, raw)
 		}
-		return sresp, rresp
+		return sresp, rresp, store.Stats().Fallbacks - before
 	}
 
-	fullSweep, fullReplay := run(t, 0)   // unlimited: materialized path
-	degSweep, degReplay := run(t, 1<<10) // 1 KiB: every trace over budget
+	fullSweep, fullReplay, _ := run(t, 0)           // unlimited: materialized path
+	degSweep, degReplay, fallbacks := run(t, 1<<10) // 1 KiB: every trace over budget
 
 	if fullSweep.Degraded || fullReplay.Degraded {
 		t.Fatal("unlimited store produced degraded responses")
@@ -336,8 +344,16 @@ func TestOverBudgetStreamsDegraded(t *testing.T) {
 			t.Errorf("sweep cell %d: streamed %d != materialized %d", i, degSweep.Cells[i].Misses, fullSweep.Cells[i].Misses)
 		}
 	}
-	if degReplay.Results[0] != fullReplay.Results[0] {
-		t.Errorf("replay: streamed %+v != materialized %+v", degReplay.Results[0], fullReplay.Results[0])
+	if len(degReplay.Results) != len(fullReplay.Results) {
+		t.Fatalf("replay: %d streamed results, %d materialized", len(degReplay.Results), len(fullReplay.Results))
+	}
+	for i := range fullReplay.Results {
+		if degReplay.Results[i] != fullReplay.Results[i] {
+			t.Errorf("replay engine %d: streamed %+v != materialized %+v", i, degReplay.Results[i], fullReplay.Results[i])
+		}
+	}
+	if fallbacks != 1 {
+		t.Errorf("streamed replay of a 3-engine bank counted %d store fallbacks, want 1 (one regeneration for the whole bank)", fallbacks)
 	}
 }
 

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"ibsim/internal/sampling"
@@ -132,22 +133,45 @@ type sampledState struct {
 	curWin      int64
 }
 
-// Run executes the sampled pass over a run-compacted trace.
-func (p SampledPass) Run(runs []trace.Run) (*SampledMatrix, error) {
+// RunChunks executes the sampled pass over a run-chunk source. A skip-mode
+// time pass (Warm off, Window < Period) over a source with windows
+// (trace.Windows: a columnar block index, or a checkpointed trace.Seeker)
+// visits only the measured windows, so the gaps are never decoded or
+// generated. Otherwise every chunk is fed in turn: set-only passes through
+// the runSetOnly fast path (its state is all in the stacks), the rest
+// through feed with the absolute position carried across chunks. The
+// line-granular touch machinery is segmentation-invariant, so every route
+// produces the matrix Run produces over the same trace.
+func (p SampledPass) RunChunks(src trace.Chunks) (*SampledMatrix, error) {
 	st, timeSample, err := p.prepare()
 	if err != nil {
 		return nil, err
 	}
-	if !timeSample && st.mod > 1 {
-		// Set-only sampling is the service's fast path: run it through the
-		// specialized loop (no per-run call, hot fields in registers).
-		total, err := st.runSetOnly(runs, p.Ctx)
+	if w, ok := src.(trace.Windows); ok && timeSample && !p.Warm {
+		err := trace.EachWindow(p.Ctx, w, p.Window, p.Period, func(spans []trace.Run) {
+			st.closeWindow()
+			st.curWin++
+			for _, sp := range spans {
+				st.span(sp.Start, sp.Len, true)
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
-		return p.assemble(st, total), nil
+		st.closeWindow()
+		return p.assemble(st, w.Total()), nil
 	}
-	pos, err := p.feed(st, runs, 0, timeSample)
+	var pos int64
+	err = trace.EachChunk(p.Ctx, src, func(runs []trace.Run) error {
+		if timeSample || st.mod <= 1 {
+			var err error
+			pos, err = p.feed(st, runs, pos, timeSample)
+			return err
+		}
+		n, err := st.runSetOnly(runs, p.Ctx)
+		pos += n
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -155,11 +179,40 @@ func (p SampledPass) Run(runs []trace.Run) (*SampledMatrix, error) {
 	return p.assemble(st, pos), nil
 }
 
+// Run executes the sampled pass over a run-compacted trace in memory.
+func (p SampledPass) Run(runs []trace.Run) (*SampledMatrix, error) {
+	return p.RunChunks(trace.RunChunks(runs))
+}
+
+// RunBlocks executes the sampled pass over a block-granular trace (a
+// columnar file); skip-mode windows seek through the block index.
+func (p SampledPass) RunBlocks(bs trace.BlockSource) (*SampledMatrix, error) {
+	return p.RunChunks(trace.NewBlockChunks(bs))
+}
+
+// RunSource executes the sampled pass over a streaming per-reference
+// source, compacting on the fly and generating every instruction, measured
+// or not; the full-trace length is whatever the source yields.
+func (p SampledPass) RunSource(src trace.Source) (*SampledMatrix, error) {
+	return p.RunChunks(trace.SourceChunks(src))
+}
+
+// RunSeek executes a skip-mode time-sampled pass over a checkpointed
+// seekable source, generating only the measured windows: O(sampled refs +
+// windows · checkpoint interval) instead of O(n). Warm and set-only passes
+// would walk every instruction and are refused; set sampling composed with
+// skip-mode time sampling is fine.
+func (p SampledPass) RunSeek(src trace.Seeker) (*SampledMatrix, error) {
+	if p.Window <= 0 || p.Window >= p.Period || p.Warm {
+		return nil, errors.New("sweep: RunSeek requires skip-mode time sampling with window < period (warm mode must walk skipped spans; use Run or RunSource)")
+	}
+	return p.RunChunks(trace.SeekChunks(src))
+}
+
 // feed advances the pass over the next chunk of runs, which begins at
 // absolute instruction position pos, and returns the advanced position. All
 // sampling state (window clusters, curWin, stacks) lives in st, so feeding
-// the trace as one slice or block by block produces identical matrices —
-// this is the shared core of Run and RunBlocks.
+// the trace as one slice or block by block produces identical matrices.
 func (p SampledPass) feed(st *sampledState, runs []trace.Run, pos int64, timeSample bool) (int64, error) {
 	for ri, r := range runs {
 		if p.Ctx != nil && ri&sampledRunCheckMask == 0 {

@@ -22,6 +22,12 @@
 // length. The miss counts are bit-identical to replaying each
 // configuration through cache.Cache / fetch.NewBlocking —
 // internal/check's sweep differential enforces exactly that.
+//
+// Pass.Run consumes materialized refs in an inlined hot loop. Every other
+// trace shape — a columnar file block by block, a per-reference stream
+// compacted on the fly — goes through one run-chunk driver per pass kind,
+// Pass.RunChunks and SampledPass.RunChunks over trace.Chunks; RunBlocks,
+// RunSource and RunSeek wrap a shape in its adapter.
 package sweep
 
 import (
@@ -179,43 +185,54 @@ func (p Pass) Run(refs []trace.Ref) (*Matrix, error) {
 	return m, nil
 }
 
-// RunSource executes the pass over a streaming trace.Source in O(grid)
-// memory — no materialized ref slice — and returns the same miss matrix Run
-// produces over the equivalent slice (only instruction fetches are
-// counted). It is the degraded-mode path for traces too large for the synth
-// store's hard budget: the service layer pairs it with synth.Store.Source's
-// streaming regeneration. A source that stops with a non-nil Err fails the
-// pass with that error; the partial matrix is discarded.
-func (p Pass) RunSource(src trace.Source) (*Matrix, error) {
+// RunChunks executes the pass over a run-chunk source in O(grid) memory
+// plus one chunk, and returns the same miss matrix Run produces over the
+// equivalent expanded refs (every run instruction is an instruction fetch).
+// A source that fails mid-trace fails the pass with its error; the partial
+// matrix is discarded.
+func (p Pass) RunChunks(src trace.Chunks) (*Matrix, error) {
 	m, groups, seen, shift, err := p.prepare()
 	if err != nil {
 		return nil, err
 	}
 	var ri int64
-	for {
-		if p.Ctx != nil && ri&cancelCheckMask == 0 {
-			if err := p.Ctx.Err(); err != nil {
-				return nil, err
+	err = trace.EachChunk(p.Ctx, src, func(runs []trace.Run) error {
+		for _, r := range runs {
+			addr := r.Start
+			for j := int64(0); j < r.Len; j++ {
+				if p.Ctx != nil && ri&cancelCheckMask == 0 {
+					if err := p.Ctx.Err(); err != nil {
+						return err
+					}
+				}
+				ri++
+				p.step(m, groups, seen, shift, addr)
+				addr += trace.InstrBytes
 			}
 		}
-		r, ok := src.Next()
-		if !ok {
-			if err := src.Err(); err != nil {
-				return nil, err
-			}
-			return m, nil
-		}
-		ri++
-		if r.Kind != trace.IFetch {
-			continue
-		}
-		p.step(m, groups, seen, shift, r.Addr)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return m, nil
+}
+
+// RunBlocks is RunChunks over a block-granular trace (a columnar file).
+func (p Pass) RunBlocks(bs trace.BlockSource) (*Matrix, error) {
+	return p.RunChunks(trace.NewBlockChunks(bs))
+}
+
+// RunSource is RunChunks over a streaming per-reference source, compacted
+// on the fly (only instruction fetches are counted): the degraded-mode path
+// for traces too large to materialize at all.
+func (p Pass) RunSource(src trace.Source) (*Matrix, error) {
+	return p.RunChunks(trace.SourceChunks(src))
 }
 
 // prepare validates the pass and builds the per-set-count groups, the
 // optional first-touch set, and the line-size shift shared by Run and
-// RunSource.
+// RunChunks.
 func (p Pass) prepare() (*Matrix, []*group, *lineSet, uint, error) {
 	m, groups, seen, shift, err := p.prepareCore()
 	if err != nil {
@@ -274,9 +291,9 @@ func (p Pass) prepareCore() (*Matrix, []*group, *lineSet, uint, error) {
 	return m, groups, seen, shift, nil
 }
 
-// step settles one instruction fetch for every grid cell — the shared
-// per-reference body of RunSource (Run keeps its own inlined copy: the
-// materialized path is the benchmarked hot loop).
+// step settles one instruction fetch for every grid cell: the
+// per-instruction body of RunChunks. Run keeps its own inlined copy, because
+// the materialized path is the benchmarked hot loop.
 func (p Pass) step(m *Matrix, groups []*group, seen *lineSet, shift uint, addr uint64) {
 	la := addr >> shift
 	key := la + 1

@@ -114,6 +114,11 @@ type BlockSource interface {
 	BlockMeta(i int) BlockMeta
 	// BlockRuns appends block i's runs to dst[:0] and returns the result.
 	BlockRuns(i int, dst []Run) ([]Run, error)
+	// Refs returns the total instruction count.
+	Refs() int64
+	// SeekRef returns the block holding absolute instruction position pos
+	// and the instruction count before it; ok is false past the end.
+	SeekRef(pos int64) (block int, before int64, ok bool)
 }
 
 // ColumnarWriter encodes a run-compacted trace to the columnar format. Runs

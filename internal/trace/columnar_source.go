@@ -62,7 +62,10 @@ func (b *RunsBlocks) BlockRuns(i int, dst []Run) ([]Run, error) {
 	return append(dst[:0], b.block(i)...), nil
 }
 
-// SeekRef mirrors ColumnarFile.SeekRef.
+// Refs implements BlockSource.
+func (b *RunsBlocks) Refs() int64 { return b.cum[len(b.cum)-1] }
+
+// SeekRef implements BlockSource, mirroring ColumnarFile.SeekRef.
 func (b *RunsBlocks) SeekRef(pos int64) (block int, before int64, ok bool) {
 	return seekCum(b.cum, pos)
 }

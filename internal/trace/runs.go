@@ -136,13 +136,20 @@ func (c *Compactor) Len() int {
 
 // Finish closes the open run and returns the compacted trace. The Compactor
 // must not be reused after Finish.
-func (c *Compactor) Finish() []Run {
-	if c.cur.Len > 0 {
+func (c *Compactor) Finish() []Run { return c.Drain(true) }
+
+// Drain returns the runs closed so far and forgets them, so a long stream
+// compacts chunk by chunk in O(chunk) memory; final first closes the open
+// run, leaving the compactor empty. The returned slice is overwritten by the
+// Adds that follow.
+func (c *Compactor) Drain(final bool) []Run {
+	if final && c.cur.Len > 0 {
 		c.runs = append(c.runs, c.cur)
-		c.cur = Run{}
-		c.next = 0
+		c.cur, c.next = Run{}, 0
 	}
-	return c.runs
+	runs := c.runs
+	c.runs = c.runs[:0]
+	return runs
 }
 
 // AppendRefs expands the run back into its per-instruction fetches.
