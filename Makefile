@@ -40,12 +40,19 @@ race:
 check: vet
 	$(GO) run ./cmd/ibscheck -n 200000
 
+# The beyond-the-paper studies, in ibsim.ExtensionNames() order
+# (TestMakefileExtensionsMatchRegistry keeps the two lists in step).
+EXTENSIONS := victim,multistream,issuewidth,tlb,placement,subblock,pagepolicy,replacement,methodology,sampling,cml,unifiedl2,assoclatency,interleave,speccontrast,dualport,writebuffer,predict
+
 # Paper-scale golden: regenerate every paper exhibit at the scale
-# paper_tables.txt was committed at and require byte-identical output.
+# paper_tables.txt was committed at, and every extension study at the scale
+# extension_tables.txt was committed at, and require byte-identical output.
 golden:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
 		$(GO) run ./cmd/ibstables -n 2000000 -trials 5 -q -o "$$tmp" >/dev/null && \
-		cmp "$$tmp" paper_tables.txt && echo "golden: ibstables output == paper_tables.txt"
+		cmp "$$tmp" paper_tables.txt && echo "golden: ibstables output == paper_tables.txt" && \
+		$(GO) run ./cmd/ibstables -experiment $(EXTENSIONS) -n 1000000 -q -o "$$tmp" >/dev/null && \
+		cmp "$$tmp" extension_tables.txt && echo "golden: extension output == extension_tables.txt"
 
 # Sampled-simulation verification: CI95 calibration of the set- and
 # time-sampled engines against exact sweeps, the warm-unbiasedness and

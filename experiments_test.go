@@ -1,6 +1,7 @@
 package ibsim
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -82,4 +83,23 @@ func render(r interface{ Render() string }, err error) (string, error) {
 		return "", err
 	}
 	return r.Render(), nil
+}
+
+// make golden pins extension_tables.txt by regenerating the exhibits its
+// EXTENSIONS variable lists; that list must be ExtensionNames(), in order,
+// or a new study would go unchecked.
+func TestMakefileExtensionsMatchRegistry(t *testing.T) {
+	raw, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if list, ok := strings.CutPrefix(line, "EXTENSIONS := "); ok {
+			if got, want := list, strings.Join(ExtensionNames(), ","); got != want {
+				t.Fatalf("Makefile EXTENSIONS = %s, want %s", got, want)
+			}
+			return
+		}
+	}
+	t.Fatal("Makefile defines no EXTENSIONS list")
 }

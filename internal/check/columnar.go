@@ -173,7 +173,7 @@ func ColumnarReplay(opt Options) ([]Result, error) {
 				harnessErr = err
 				return fail(name, "building bank: %v", err)
 			}
-			got, err := replay.BlocksParallel(ctx, cf, parBank, workers)
+			got, err := replay.Chunks(ctx, trace.NewBlockChunks(cf), parBank, workers)
 			if err != nil {
 				return fail(name, "parallel block replay (workers=%d): %v", workers, err)
 			}
@@ -213,7 +213,7 @@ func ColumnarReplay(opt Options) ([]Result, error) {
 		if err != nil {
 			return fail(name, "in-memory sampled sweep: %v", err)
 		}
-		sGot, err := sp.RunBlocks(cf)
+		sGot, err := sp.RunChunks(trace.NewBlockChunks(cf))
 		if err != nil {
 			return fail(name, "block sampled sweep: %v", err)
 		}

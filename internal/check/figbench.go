@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -46,9 +47,11 @@ func RunFigureBench(opt Options) (*FigureBench, error) {
 	opt = opt.withDefaults()
 	fb := &FigureBench{Instructions: opt.Instructions}
 
-	// Hold every workload's trace so neither path pays (or is charged for)
-	// generation, and the store cannot evict between the two timings.
-	releases := make([]func(), 0, len(opt.Workloads))
+	// Hold every workload's trace in both forms the paths read — refs for
+	// the per-config path, runs for the sweep path — so neither pays (or is
+	// charged for) generation, and the store cannot evict between the two
+	// timings.
+	releases := make([]func(), 0, 2*len(opt.Workloads))
 	defer func() {
 		for _, r := range releases {
 			r()
@@ -58,6 +61,11 @@ func RunFigureBench(opt Options) (*FigureBench, error) {
 		_, release, err := synth.DefaultStore.Instr(p, opt.Seed, opt.Instructions)
 		if err != nil {
 			return nil, fmt.Errorf("check: figure bench: warming %s: %w", p.Name, err)
+		}
+		releases = append(releases, release)
+		_, release, err = synth.DefaultStore.RunsOnly(context.Background(), p, opt.Seed, opt.Instructions)
+		if err != nil {
+			return nil, fmt.Errorf("check: figure bench: warming %s runs: %w", p.Name, err)
 		}
 		releases = append(releases, release)
 	}

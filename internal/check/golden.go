@@ -43,9 +43,9 @@ const tablesGoldenSpeedup = 3.1
 // deliberate sampled-sweep changes.
 const samplingGoldenSpeedup = 11.5
 
-// seekGoldenSpeedup is the recorded speedup of the checkpoint-seek
-// streaming sampled sweep (RunSeek, generating only the measured 1/16 of
-// the windows) over full streaming regeneration (RunSource) on an
+// seekGoldenSpeedup is the recorded speedup of the checkpoint-seek streaming
+// sampled sweep (RunSeek, generating only the measured 1/16 of the windows)
+// over full streaming regeneration (RunChunks over a Source) on an
 // over-budget store at the pinned scale, measured by `go run ./cmd/ibscheck
 // -n 200000` on the commit that introduced the seekable generators (11-14x
 // across runs; pinned below the observed minimum because the seeked pass is

@@ -8,16 +8,18 @@ import (
 
 	"ibsim/internal/sweep"
 	"ibsim/internal/synth"
+	"ibsim/internal/trace"
 )
 
 // SeekBench records the checkpoint-seek streaming benchmark: a skip-mode
 // time-sampled sweep (1/16 window coverage) over a store whose hard budget
 // rejects every materialized tier, run once by streaming full regeneration
-// (RunSource — every instruction generated, measured or not) and once by
-// checkpoint seek (RunSeek — only the measured windows generated), with the
-// speedup and bit-identity verdicts. cmd/ibscheck embeds it in
-// BENCH_ibsim.json as the "seek" stage — this is where the ">=5x at 1/16
-// window coverage" promise of the seek tier is pinned against regression.
+// (RunChunks over trace.SourceChunks — every instruction generated, measured
+// or not) and once by checkpoint seek (RunSeek — only the measured windows
+// generated), with the speedup and bit-identity verdicts. cmd/ibscheck
+// embeds it in BENCH_ibsim.json as the "seek" stage — this is where the
+// ">=5x at 1/16 window coverage" promise of the seek tier is pinned against
+// regression.
 type SeekBench struct {
 	// Instructions is the per-workload scale both paths ran at.
 	Instructions int64 `json:"instructions"`
@@ -110,7 +112,7 @@ func RunSeekBench(opt Options) (*SeekBench, error) {
 			if err != nil {
 				return nil, fmt.Errorf("check: seek bench: stream source %s: %w", p.Name, err)
 			}
-			m, err := sp.RunSource(src)
+			m, err := sp.RunChunks(trace.SourceChunks(src))
 			release()
 			if err != nil {
 				return nil, fmt.Errorf("check: seek bench: streamed sweep %s: %w", p.Name, err)

@@ -36,29 +36,32 @@ type Options struct {
 	// Trials is the number of Tapeworm-style repeat runs for variability
 	// experiments (default 5, as in Figure 5).
 	Trials int
-	// Serial forces the per-workload runners (mapTraces, mapProfiles) onto
-	// a single goroutine. Results must be bit-identical to the parallel
-	// path — internal/check and the differential tests in this package
-	// enforce that — so Serial exists as the trusted reference executor,
-	// not as a semantic switch.
+	// Serial forces the per-workload runners (mapRuns, mapTraces,
+	// mapProfiles) onto a single goroutine. Results must be bit-identical to
+	// the parallel path — internal/check and the differential tests in this
+	// package enforce that — so Serial exists as the trusted reference
+	// executor, not as a semantic switch.
 	Serial bool
 	// Workers bounds concurrent per-workload runners. 0 (the default) means
 	// auto: one worker per GOMAXPROCS. Each worker holds one workload's
-	// trace (~16 bytes/instruction), so Workers also caps peak memory;
-	// shrink it on small machines, raise it past GOMAXPROCS to overlap
-	// generation with simulation. Ignored when Serial is set.
+	// trace (~16 bytes/instruction as refs, a few as runs), so Workers also
+	// caps peak memory; shrink it on small machines, raise it past
+	// GOMAXPROCS to overlap generation with simulation. Ignored when Serial
+	// is set.
 	Workers int
 	// PerConfig forces the accelerated experiments onto their original
-	// one-full-simulation-per-configuration paths: Figures 1, 3, and 4 fall
-	// back from the single-pass sweep engine (internal/sweep); Tables 5-8
-	// plus Figures 6/7 fall back from the fan-out replay driver
-	// (internal/replay) to per-engine fetch.Run over the expanded trace;
-	// and Figure 5 plus the page-policy ablation fall back from page
-	// segments (one vm translation per page, one cache probe per resident
-	// line) to per-reference Translate and Access. Every pair of paths
-	// produces identical results — internal/check's sweep, fanout and
-	// figure5-pages differentials enforce that — so PerConfig exists as the
-	// trusted reference executor, not as a semantic switch.
+	// one-full-simulation-per-configuration paths over the per-reference
+	// trace (mapTraces) instead of the run-compacted one (mapRuns): Figures
+	// 1, 3, and 4 fall back from the single-pass sweep engine
+	// (internal/sweep); Tables 5-8, Figures 6/7 and every other engine bank
+	// (mapBanks) fall back from the fan-out replay driver (internal/replay)
+	// to per-engine fetch.Run over the expanded trace; and Figure 5 plus the
+	// page-policy ablation fall back from page segments (one vm translation
+	// per page, one cache probe per resident line) to per-reference
+	// Translate and Access. Every pair of paths produces identical results
+	// — internal/check's sweep, fanout and figure5-pages differentials
+	// enforce that — so PerConfig exists as the trusted reference executor,
+	// not as a semantic switch.
 	PerConfig bool
 	// Context, when non-nil, cancels the experiment: in-flight workers
 	// observe cancellation at their next trace acquisition or sweep
@@ -144,38 +147,16 @@ func (e *WorkerError) Error() string {
 	return fmt.Sprintf("experiments: worker %q (index %d) panicked: %v", e.Workload, e.Index, e.Recovered)
 }
 
-// forEachTrace acquires each profile's instruction-only trace from the
-// shared store and hands it to f; the reference is released after each call,
-// so live memory stays bounded to one workload at a time plus whatever the
-// store keeps warm within its idle budget. Cancelling opt.Context stops the
-// walk between (and inside) acquisitions.
-func forEachTrace(profiles []synth.Profile, opt Options, f func(p synth.Profile, refs []trace.Ref) error) error {
-	ctx := opt.ctx()
-	for _, p := range profiles {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		refs, release, err := synth.DefaultStore.InstrCtx(ctx, p, opt.Seed, opt.Instructions)
-		if err != nil {
-			return err
-		}
-		err = f(p, refs)
-		release()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mapTraces runs worker over every profile's instruction trace concurrently
-// and returns per-profile results in profile order, so reductions stay
-// deterministic regardless of scheduling. Traces come from the shared
-// synth.DefaultStore: every experiment in the process that needs the same
-// (workload, seed, n) stream shares one generation. With opt.Serial the
-// profiles run one at a time on the calling goroutine — the differential
-// reference path.
-func mapTraces[T any](profiles []synth.Profile, opt Options, worker func(p synth.Profile, refs []trace.Ref) (T, error)) ([]T, error) {
+// mapTraces runs worker over every profile's per-reference instruction
+// trace concurrently and returns per-profile results in profile order, so
+// reductions stay deterministic regardless of scheduling. It is how the
+// Options.PerConfig reference paths get their trace; every other path reads
+// runs through mapRuns. Traces come from the shared synth.DefaultStore:
+// every experiment in the process that needs the same (workload, seed, n)
+// stream shares one generation. The worker gets the runner's context, so a
+// sibling's failure stops it. With opt.Serial the profiles run one at a time
+// on the calling goroutine — the differential reference path.
+func mapTraces[T any](profiles []synth.Profile, opt Options, worker func(ctx context.Context, p synth.Profile, refs []trace.Ref) (T, error)) ([]T, error) {
 	run := func(ctx context.Context, i int) (T, error) {
 		refs, release, err := synth.DefaultStore.InstrCtx(ctx, profiles[i], opt.Seed, opt.Instructions)
 		if err != nil {
@@ -183,7 +164,22 @@ func mapTraces[T any](profiles []synth.Profile, opt Options, worker func(p synth
 			return zero, err
 		}
 		defer release()
-		return worker(profiles[i], refs)
+		return worker(ctx, profiles[i], refs)
+	}
+	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
+}
+
+// mapRuns is mapTraces over each profile's run-compacted instruction trace
+// (synth.DefaultStore.RunsOnly, so the per-reference slice is never built).
+func mapRuns[T any](profiles []synth.Profile, opt Options, worker func(ctx context.Context, p synth.Profile, runs []trace.Run) (T, error)) ([]T, error) {
+	run := func(ctx context.Context, i int) (T, error) {
+		runs, release, err := synth.DefaultStore.RunsOnly(ctx, profiles[i], opt.Seed, opt.Instructions)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		defer release()
+		return worker(ctx, profiles[i], runs)
 	}
 	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
 }
@@ -192,24 +188,19 @@ func mapTraces[T any](profiles []synth.Profile, opt Options, worker func(p synth
 // fetch engines and returns, in profile order, each profile's per-engine
 // Results in bank order — the one-pass-per-workload primitive behind Tables
 // 5-8 and Figures 6/7. mk builds a fresh bank per profile (engines are
-// stateful). The default path acquires the memoized run-compacted trace
-// (synth.DefaultStore.InstrRuns) and fans it out through replay.Replay —
-// bulk FetchRun per engine plus analytic dedup of same-geometry blocking
-// engines; opt.PerConfig selects the reference path, one fetch.Run over the
-// expanded trace per engine. Both paths produce bit-identical Results
-// (pinned by internal/check's fanout differential).
+// stateful). The default path fans the run-compacted trace (mapRuns) out
+// through replay.Replay — bulk FetchRun per engine plus analytic dedup of
+// same-geometry blocking engines; opt.PerConfig selects the reference path,
+// one fetch.Run over the expanded trace per engine (mapTraces). Both paths
+// produce bit-identical Results (pinned by internal/check's fanout
+// differential).
 func mapBanks(profiles []synth.Profile, opt Options, mk func() ([]fetch.Engine, error)) ([][]fetch.Result, error) {
-	run := func(ctx context.Context, i int) ([]fetch.Result, error) {
-		engines, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		if opt.PerConfig {
-			refs, release, err := synth.DefaultStore.InstrCtx(ctx, profiles[i], opt.Seed, opt.Instructions)
+	if opt.PerConfig {
+		return mapTraces(profiles, opt, func(ctx context.Context, _ synth.Profile, refs []trace.Ref) ([]fetch.Result, error) {
+			engines, err := mk()
 			if err != nil {
 				return nil, err
 			}
-			defer release()
 			results := make([]fetch.Result, len(engines))
 			for j, e := range engines {
 				if err := ctx.Err(); err != nil {
@@ -218,15 +209,15 @@ func mapBanks(profiles []synth.Profile, opt Options, mk func() ([]fetch.Engine, 
 				results[j] = fetch.Run(e, refs)
 			}
 			return results, nil
-		}
-		_, runs, release, err := synth.DefaultStore.InstrRuns(ctx, profiles[i], opt.Seed, opt.Instructions)
+		})
+	}
+	return mapRuns(profiles, opt, func(ctx context.Context, _ synth.Profile, runs []trace.Run) ([]fetch.Result, error) {
+		engines, err := mk()
 		if err != nil {
 			return nil, err
 		}
-		defer release()
 		return replay.Replay(ctx, runs, engines)
-	}
-	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
+	})
 }
 
 // pagedTrace is one workload's instruction trace as the physically indexed
@@ -261,30 +252,23 @@ func (t *pagedTrace) stats(m *vm.Mapper, cfg cache.Config) cache.Stats {
 }
 
 // mapPaged runs worker over every profile's pagedTrace concurrently and
-// returns per-profile results in profile order. The default path acquires
-// the run-compacted trace (synth.DefaultStore.RunsOnly, so the
-// per-reference slice is never built) and splits it at vm.DefaultPageSize
-// pages; opt.PerConfig hands the worker the per-reference trace instead.
+// returns per-profile results in profile order. The default path splits the
+// run-compacted trace (mapRuns) at vm.DefaultPageSize pages; opt.PerConfig
+// hands the worker the per-reference trace instead.
 func mapPaged[T any](profiles []synth.Profile, opt Options, worker func(p synth.Profile, t *pagedTrace) (T, error)) ([]T, error) {
 	if opt.PerConfig {
-		return mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) (T, error) {
+		return mapTraces(profiles, opt, func(_ context.Context, p synth.Profile, refs []trace.Ref) (T, error) {
 			return worker(p, &pagedTrace{refs: refs})
 		})
 	}
-	run := func(ctx context.Context, i int) (T, error) {
-		var zero T
-		runs, release, err := synth.DefaultStore.RunsOnly(ctx, profiles[i], opt.Seed, opt.Instructions)
-		if err != nil {
-			return zero, err
-		}
+	return mapRuns(profiles, opt, func(_ context.Context, p synth.Profile, runs []trace.Run) (T, error) {
 		paged, err := vm.Split(runs, vm.DefaultPageSize)
-		release()
 		if err != nil {
+			var zero T
 			return zero, err
 		}
-		return worker(profiles[i], &pagedTrace{paged: paged})
-	}
-	return mapOrdered(opt.ctx(), len(profiles), opt.workers(), profileName(profiles), run)
+		return worker(p, &pagedTrace{paged: paged})
+	})
 }
 
 // mapProfiles runs worker over profiles concurrently (bounded by
@@ -406,40 +390,43 @@ func meanOf(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
+// cacheStats replays runs through a cold cache of geometry cfg, one
+// cache.AccessRun per run, and returns its counters: the Stats a
+// per-reference Access loop over the expanded trace leaves.
+func cacheStats(cfg cache.Config, runs []trace.Run) (cache.Stats, error) {
+	c, err := cache.New(cfg)
+	if err != nil {
+		return cache.Stats{}, err
+	}
+	for _, r := range runs {
+		c.AccessRun(r.Start, r.Len, trace.InstrBytes)
+	}
+	return c.Stats(), nil
+}
+
 // suiteMeanMPI simulates one cache geometry over every profile and returns
 // the suite-mean misses per instruction.
 func suiteMeanMPI(profiles []synth.Profile, cfg cache.Config, opt Options) (float64, error) {
-	per, err := mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) (float64, error) {
-		c, err := cache.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		for _, r := range refs {
-			c.Access(r.Addr)
-		}
-		st := c.Stats()
-		return float64(st.Misses) / float64(st.Accesses), nil
+	per, err := mapRuns(profiles, opt, func(_ context.Context, _ synth.Profile, runs []trace.Run) (float64, error) {
+		st, err := cacheStats(cfg, runs)
+		return float64(st.Misses) / float64(st.Accesses), err
 	})
 	return meanOf(per), err
 }
 
-// suiteMeanEngineCPI runs an engine factory over every profile and returns
-// the suite-mean CPIinstr (and MPI).
+// suiteMeanEngineCPI runs an engine factory over every profile, as a
+// one-engine mapBanks, and returns the suite-mean CPIinstr (and MPI).
 func suiteMeanEngineCPI(profiles []synth.Profile, opt Options, mk func() (fetch.Engine, error)) (cpiMean, mpiMean float64, err error) {
-	per, err := mapTraces(profiles, opt, func(p synth.Profile, refs []trace.Ref) ([2]float64, error) {
+	per, err := mapBanks(profiles, opt, func() ([]fetch.Engine, error) {
 		e, err := mk()
-		if err != nil {
-			return [2]float64{}, err
-		}
-		res := fetch.Run(e, refs)
-		return [2]float64{res.CPIinstr(), res.MPI()}, nil
+		return []fetch.Engine{e}, err
 	})
 	if err != nil {
 		return 0, 0, err
 	}
-	for _, v := range per {
-		cpiMean += v[0] / float64(len(per))
-		mpiMean += v[1] / float64(len(per))
+	for _, bank := range per {
+		cpiMean += bank[0].CPIinstr() / float64(len(per))
+		mpiMean += bank[0].MPI() / float64(len(per))
 	}
 	return cpiMean, mpiMean, nil
 }

@@ -3,6 +3,10 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"ibsim/internal/cache"
+	"ibsim/internal/synth"
+	"ibsim/internal/trace"
 )
 
 // testOpt keeps integration runs quick; shape assertions below are robust at
@@ -57,6 +61,67 @@ func TestTable3Shape(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "IBS (Mach 3.0)") {
 		t.Error("render missing suite")
+	}
+}
+
+// TestTable4MatchesPerReference pins Table 4's run-granular path (cache
+// AccessRun over the store's runs, domain shares from run lengths) to a
+// per-reference computation: cache.Access and trace.Counts over
+// synth.InstrTrace. Table 4 has no PerConfig path, so this is its oracle.
+func TestTable4MatchesPerReference(t *testing.T) {
+	opt := Options{Instructions: 50_000}
+	got, err := Table4(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRef := func(p synth.Profile) (cache.Stats, trace.Counts) {
+		refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cache.MustNew(BaseL1())
+		var counts trace.Counts
+		for _, r := range refs {
+			c.Access(r.Addr)
+			counts.Observe(r)
+		}
+		return c.Stats(), counts
+	}
+	want := &Table4Result{}
+	for _, p := range synth.IBSMach() {
+		st, counts := perRef(p)
+		row := Table4Row{
+			OS: "Mach 3.0", Workload: p.Name,
+			MPI:    100 * float64(st.Misses) / float64(st.Accesses),
+			User:   counts.DomainFraction(trace.User),
+			Kernel: counts.DomainFraction(trace.Kernel),
+			BSD:    counts.DomainFraction(trace.BSDServer),
+			X:      counts.DomainFraction(trace.XServer),
+		}
+		want.Rows = append(want.Rows, row)
+		want.MachAvg += row.MPI / 8
+	}
+	suiteAvg := func(profiles []synth.Profile) float64 {
+		var per []float64
+		for _, p := range profiles {
+			st, _ := perRef(p)
+			per = append(per, float64(st.Misses)/float64(st.Accesses))
+		}
+		return 100 * meanOf(per)
+	}
+	want.UltrixAvg = suiteAvg(synth.IBSUltrix())
+	want.SPECAvg = suiteAvg(specProfiles())
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("rows = %d, want %d", len(got.Rows), len(want.Rows))
+	}
+	for i := range want.Rows {
+		if got.Rows[i] != want.Rows[i] {
+			t.Errorf("row %d: %+v, per-reference %+v", i, got.Rows[i], want.Rows[i])
+		}
+	}
+	if got.MachAvg != want.MachAvg || got.UltrixAvg != want.UltrixAvg || got.SPECAvg != want.SPECAvg {
+		t.Errorf("averages %v/%v/%v, per-reference %v/%v/%v",
+			got.MachAvg, got.UltrixAvg, got.SPECAvg, want.MachAvg, want.UltrixAvg, want.SPECAvg)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"ibsim/internal/cache"
@@ -16,7 +17,7 @@ import (
 func TestMapTracesMatchesSerial(t *testing.T) {
 	profiles := ibsProfiles()
 	opt := Options{Instructions: 40_000}
-	worker := func(p synth.Profile, refs []trace.Ref) ([2]interface{}, error) {
+	worker := func(_ context.Context, p synth.Profile, refs []trace.Ref) ([2]interface{}, error) {
 		c := cache.MustNew(cache.Config{Size: 8192, LineSize: 32, Assoc: 1})
 		for _, r := range refs {
 			c.Access(r.Addr)

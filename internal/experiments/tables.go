@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"ibsim/internal/cache"
 	"ibsim/internal/cpi"
 	"ibsim/internal/fetch"
 	"ibsim/internal/memsys"
@@ -167,33 +167,34 @@ type Table4Result struct {
 }
 
 // Table4 simulates every IBS workload under Mach in the 8-KB baseline cache,
-// plus the Ultrix and SPEC92 averages.
+// plus the Ultrix and SPEC92 averages. Each Mach row replays the workload's
+// runs through the cache (cache.AccessRun) and takes its execution-time
+// shares from the per-domain run lengths.
 func Table4(opt Options) (*Table4Result, error) {
 	opt = opt.withDefaults()
-	res := &Table4Result{}
 	cfg := BaseL1()
-	for _, p := range synth.IBSMach() {
-		var row Table4Row
-		row.OS = "Mach 3.0"
-		row.Workload = p.Name
-		refs, err := synth.InstrTrace(p, opt.Seed, opt.Instructions)
+	rows, err := mapRuns(synth.IBSMach(), opt, func(_ context.Context, p synth.Profile, runs []trace.Run) (Table4Row, error) {
+		st, err := cacheStats(cfg, runs)
 		if err != nil {
-			return nil, err
+			return Table4Row{}, err
 		}
-		c := cache.MustNew(cfg)
-		var counts trace.Counts
-		for _, r := range refs {
-			c.Access(r.Addr)
-			counts.Observe(r)
+		var byDomain [trace.NumDomains]int64
+		for _, r := range runs {
+			byDomain[r.Domain] += r.Len
 		}
-		st := c.Stats()
-		row.MPI = 100 * float64(st.Misses) / float64(st.Accesses)
-		row.User = counts.DomainFraction(trace.User)
-		row.Kernel = counts.DomainFraction(trace.Kernel)
-		row.BSD = counts.DomainFraction(trace.BSDServer)
-		row.X = counts.DomainFraction(trace.XServer)
-		res.Rows = append(res.Rows, row)
-		res.MachAvg += row.MPI / 8
+		share := func(d trace.Domain) float64 { return float64(byDomain[d]) / float64(st.Accesses) }
+		return Table4Row{
+			OS: "Mach 3.0", Workload: p.Name,
+			MPI:  100 * float64(st.Misses) / float64(st.Accesses),
+			User: share(trace.User), Kernel: share(trace.Kernel), BSD: share(trace.BSDServer), X: share(trace.XServer),
+		}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Table4Result{Rows: rows}
+	for _, row := range rows {
+		res.MachAvg += row.MPI / float64(len(rows))
 	}
 	ultrix, err := suiteMeanMPI(synth.IBSUltrix(), cfg, opt)
 	if err != nil {

@@ -71,9 +71,10 @@ func TestBlocksCancel(t *testing.T) {
 	}
 }
 
-// SampledBlocks must reproduce Sampled bit for bit — Measured counters and
-// every Estimate field — for every plan shape: warm time, skip time (the
-// seeking path), degenerate full-coverage, and set sampling.
+// SampledChunks over a columnar trace must reproduce Sampled bit for bit —
+// Measured counters and every Estimate field — for every plan shape: warm
+// time, skip time (the seeking path), degenerate full-coverage, and set
+// sampling.
 func TestSampledBlocksMatchesSampled(t *testing.T) {
 	runs := trace.Compact(testTrace(22, 120000))
 	cf := columnarSource(t, runs, 512)
@@ -93,7 +94,7 @@ func TestSampledBlocksMatchesSampled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := SampledBlocks(context.Background(), cf, bank(t), plan)
+			got, err := SampledChunks(context.Background(), trace.NewBlockChunks(cf), bank(t), plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +109,7 @@ func TestSampledBlocksMatchesSampled(t *testing.T) {
 
 func TestSampledBlocksRejectsBadPlan(t *testing.T) {
 	cf := columnarSource(t, trace.Compact(testTrace(1, 100)), 512)
-	if _, err := SampledBlocks(context.Background(), cf, bank(t), SamplePlan{}); err == nil {
+	if _, err := SampledChunks(context.Background(), trace.NewBlockChunks(cf), bank(t), SamplePlan{}); err == nil {
 		t.Fatal("empty plan accepted")
 	}
 }

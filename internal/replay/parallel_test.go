@@ -11,9 +11,10 @@ import (
 	"ibsim/internal/trace"
 )
 
-// BlocksParallel must be bit-identical to the serial Blocks path for every
-// worker count, including degenerate ones, across the mixed bank with its
-// analytically derived cells.
+// Chunks over a columnar trace with the bank split across workers must be
+// bit-identical to the serial Blocks path for every worker count, including
+// degenerate ones, across the mixed bank with its analytically derived
+// cells.
 func TestBlocksParallelMatchesSerial(t *testing.T) {
 	runs := trace.Compact(testTrace(23, 80000))
 	cf := columnarSource(t, runs, 512)
@@ -25,7 +26,7 @@ func TestBlocksParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 3, 4, 16} {
-		got, err := BlocksParallel(context.Background(), cf, bank(t), workers)
+		got, err := Chunks(context.Background(), trace.NewBlockChunks(cf), bank(t), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -57,7 +58,7 @@ func TestBlocksParallelDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := BlocksParallel(context.Background(), one, []fetch.Engine{mk()}, 8)
+	got, err := Chunks(context.Background(), trace.NewBlockChunks(one), []fetch.Engine{mk()}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestBlocksParallelCancel(t *testing.T) {
 	cf := columnarSource(t, runs, 512)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BlocksParallel(ctx, cf, bank(t), 4); !errors.Is(err, context.Canceled) {
+	if _, err := Chunks(ctx, trace.NewBlockChunks(cf), bank(t), 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -82,7 +83,7 @@ func TestBlocksParallelErrorPropagates(t *testing.T) {
 	runs := trace.Compact(testTrace(9, 40000))
 	boom := errors.New("injected block decode failure")
 	bs := &failingBlocks{RunsBlocks: trace.NewRunsBlocks(runs, 5), failAt: 3, err: boom}
-	if _, err := BlocksParallel(context.Background(), bs, bank(t), 3); !errors.Is(err, boom) {
+	if _, err := Chunks(context.Background(), trace.NewBlockChunks(bs), bank(t), 3); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected failure", err)
 	}
 }

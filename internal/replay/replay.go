@@ -9,8 +9,8 @@
 // columnar file read block by block, or a per-reference (possibly
 // checkpoint-seekable) generator compacted on the fly. Chunks is the exact
 // fan-out; SampledChunks feeds a statistical sample (sampled.go). Replay,
-// Blocks, BlocksParallel, Sampled, SampledBlocks and SampledSeek wrap a
-// trace in the matching adapter and call one of the two.
+// Blocks, Sampled and SampledSeek wrap a trace in the matching adapter and
+// call one of the two.
 //
 // Two accelerations stack:
 //
@@ -191,7 +191,7 @@ func replayOne(ctx context.Context, runs []trace.Run, e fetch.Engine) error {
 }
 
 // Replay is Chunks over an in-memory run-compacted trace (for example
-// synth.DefaultStore.InstrRuns), serially.
+// synth.DefaultStore.RunsOnly), serially.
 func Replay(ctx context.Context, runs []trace.Run, engines []fetch.Engine) ([]fetch.Result, error) {
 	return Chunks(ctx, trace.RunChunks(runs), engines, 1)
 }
@@ -200,10 +200,4 @@ func Replay(ctx context.Context, runs []trace.Run, engines []fetch.Engine) ([]fe
 // each block is decoded once, not once per engine.
 func Blocks(ctx context.Context, bs trace.BlockSource, engines []fetch.Engine) ([]fetch.Result, error) {
 	return Chunks(ctx, trace.NewBlockChunks(bs), engines, 1)
-}
-
-// BlocksParallel is Blocks with the bank split across up to workers
-// goroutines, each decoding the blocks independently.
-func BlocksParallel(ctx context.Context, bs trace.BlockSource, engines []fetch.Engine, workers int) ([]fetch.Result, error) {
-	return Chunks(ctx, trace.NewBlockChunks(bs), engines, workers)
 }

@@ -162,14 +162,6 @@ func Sampled(ctx context.Context, runs []trace.Run, engines []fetch.Engine, plan
 	return SampledChunks(ctx, trace.RunChunks(runs), engines, plan)
 }
 
-// SampledBlocks is SampledChunks over a block-granular trace (a columnar
-// file): skip-mode windows seek through the block index, warm and
-// full-coverage plans hold one block at a time, and set plans hold the
-// 1/SetMod of the runs in the sampled class.
-func SampledBlocks(ctx context.Context, bs trace.BlockSource, engines []fetch.Engine, plan SamplePlan) ([]SampledResult, error) {
-	return SampledChunks(ctx, trace.NewBlockChunks(bs), engines, plan)
-}
-
 // SampledSeek is SampledChunks over a checkpointed seekable source, which
 // generates only the measured windows: O(sampled refs + windows ·
 // checkpoint interval) instead of O(n). Plans other than skip-mode time

@@ -580,6 +580,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			Message: fmt.Sprintf("line_size %d must be a positive power of two", req.LineSize)})
 		return
 	}
+	if req.LineSize < trace.InstrBytes {
+		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request",
+			Message: fmt.Sprintf("line_size %d must be at least the %d-byte instruction size", req.LineSize, trace.InstrBytes)})
+		return
+	}
 	if len(req.Cells) == 0 || len(req.Cells) > s.cfg.MaxCells {
 		s.writeError(w, ErrorDetail{Status: http.StatusBadRequest, Kind: "bad-request",
 			Message: fmt.Sprintf("cells must name 1..%d geometries, got %d", s.cfg.MaxCells, len(req.Cells))})

@@ -698,6 +698,28 @@ func TestSamplingSpecValidation(t *testing.T) {
 	}
 }
 
+// A line size below the 4-byte instruction size is a structured 400 on every
+// sweep path — exact, set-sampled and skip-mode time-sampled — rejected
+// before admission rather than by the engine after it.
+func TestSweepLineSizeBelowInstruction(t *testing.T) {
+	_, ts := testServer(t, nil)
+	samplings := map[string]*SamplingSpec{
+		"exact":     nil,
+		"set":       {Set: 2},
+		"time-skip": {Window: 100, Period: 400, Skip: true},
+	}
+	for _, line := range []int{1, 2} {
+		for name, sp := range samplings {
+			req := SweepRequest{Workload: "eqntott", Instructions: 10_000, LineSize: line,
+				Cells: []CellSpec{{Sets: 64, Assoc: 1}}, Sampling: sp}
+			code, raw := postJSON(t, ts.URL+"/v1/sweep", req, nil)
+			if code != 400 || errKind(t, raw) != "bad-request" || !strings.Contains(string(raw), "line_size") {
+				t.Errorf("line %d %s: got %d %s, want structured 400", line, name, code, raw)
+			}
+		}
+	}
+}
+
 // The degradation ladder engages in order: a store that cannot hold the ref
 // trace but can hold its run compaction answers from the sampling tier
 // (degraded, intervals attached); only when even the runs are over budget

@@ -65,9 +65,9 @@ func TestRunBlocksCancel(t *testing.T) {
 	}
 }
 
-// SampledPass.RunBlocks must be bit-identical to SampledPass.Run — matrices,
-// estimates, clusters — for every sampling shape, including the set-only
-// fast path fed one block at a time.
+// SampledPass.RunChunks over a columnar trace must be bit-identical to
+// SampledPass.Run — matrices, estimates, clusters — for every sampling
+// shape, including the set-only fast path fed one block at a time.
 func TestSampledRunBlocksMatchesRun(t *testing.T) {
 	refs := testRefs(t, 200_000)
 	runs := trace.Compact(refs)
@@ -90,7 +90,7 @@ func TestSampledRunBlocksMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := p.RunBlocks(cf)
+			got, err := p.RunChunks(trace.NewBlockChunks(cf))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestSampledRunBlocksMatchesRun(t *testing.T) {
 func TestSampledRunBlocksRejectsBadPass(t *testing.T) {
 	cf := columnarOf(t, trace.Compact(testRefs(t, 100)), 512)
 	p := SampledPass{LineSize: 3, Cells: sweepCells()}
-	if _, err := p.RunBlocks(cf); err == nil {
+	if _, err := p.RunChunks(trace.NewBlockChunks(cf)); err == nil {
 		t.Fatal("invalid line size accepted")
 	}
 }

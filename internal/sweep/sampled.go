@@ -184,19 +184,6 @@ func (p SampledPass) Run(runs []trace.Run) (*SampledMatrix, error) {
 	return p.RunChunks(trace.RunChunks(runs))
 }
 
-// RunBlocks executes the sampled pass over a block-granular trace (a
-// columnar file); skip-mode windows seek through the block index.
-func (p SampledPass) RunBlocks(bs trace.BlockSource) (*SampledMatrix, error) {
-	return p.RunChunks(trace.NewBlockChunks(bs))
-}
-
-// RunSource executes the sampled pass over a streaming per-reference
-// source, compacting on the fly and generating every instruction, measured
-// or not; the full-trace length is whatever the source yields.
-func (p SampledPass) RunSource(src trace.Source) (*SampledMatrix, error) {
-	return p.RunChunks(trace.SourceChunks(src))
-}
-
 // RunSeek executes a skip-mode time-sampled pass over a checkpointed
 // seekable source, generating only the measured windows: O(sampled refs +
 // windows · checkpoint interval) instead of O(n). Warm and set-only passes
@@ -204,7 +191,7 @@ func (p SampledPass) RunSource(src trace.Source) (*SampledMatrix, error) {
 // skip-mode time sampling is fine.
 func (p SampledPass) RunSeek(src trace.Seeker) (*SampledMatrix, error) {
 	if p.Window <= 0 || p.Window >= p.Period || p.Warm {
-		return nil, errors.New("sweep: RunSeek requires skip-mode time sampling with window < period (warm mode must walk skipped spans; use Run or RunSource)")
+		return nil, errors.New("sweep: RunSeek requires skip-mode time sampling with window < period (warm mode must walk skipped spans; use RunChunks)")
 	}
 	return p.RunChunks(trace.SeekChunks(src))
 }
@@ -254,18 +241,39 @@ func (p SampledPass) feed(st *sampledState, runs []trace.Run, pos int64, timeSam
 	return pos, nil
 }
 
-// prepare validates the sampled pass and builds its state.
+// prepare validates the pass and builds its state: the matrix, one group
+// per distinct set count with its recency stacks, the optional first-touch
+// set, and the sampling clusters. It is the one prepare of both pass kinds;
+// Pass.Run uses the exhaustive state's matrix, groups and shift directly.
 func (p SampledPass) prepare() (*sampledState, bool, error) {
-	if p.LineSize < trace.InstrBytes {
-		return nil, false, fmt.Errorf("sweep: sampled pass line size %d must be >= the %d-byte instruction size", p.LineSize, trace.InstrBytes)
+	if p.LineSize < trace.InstrBytes || p.LineSize&(p.LineSize-1) != 0 {
+		return nil, false, fmt.Errorf("sweep: line size %d must be a power of two >= the %d-byte instruction size", p.LineSize, trace.InstrBytes)
 	}
-	m, groups, seen, shift, err := Pass{
-		LineSize:      p.LineSize,
-		Cells:         p.Cells,
-		CountDistinct: p.CountDistinct,
-	}.prepareCore()
-	if err != nil {
-		return nil, false, err
+	if len(p.Cells) == 0 {
+		return nil, false, fmt.Errorf("sweep: empty cell grid")
+	}
+	m := &Matrix{
+		LineSize: p.LineSize,
+		Cells:    append([]Cell(nil), p.Cells...),
+		Misses:   make([]int64, len(p.Cells)),
+	}
+	bySets := make(map[int]*group)
+	var groups []*group
+	for i, c := range p.Cells {
+		if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
+			return nil, false, fmt.Errorf("sweep: cell %d: set count %d must be a positive power of two", i, c.Sets)
+		}
+		if c.Assoc < 1 {
+			return nil, false, fmt.Errorf("sweep: cell %d: associativity %d must be >= 1", i, c.Assoc)
+		}
+		g, ok := bySets[c.Sets]
+		if !ok {
+			g = &group{mask: uint64(c.Sets - 1)}
+			bySets[c.Sets] = g
+			groups = append(groups, g)
+		}
+		g.amax = max(g.amax, c.Assoc)
+		g.cells = append(g.cells, groupCell{assoc: c.Assoc, out: i})
 	}
 	if p.SetMod > 1 {
 		if p.SetMod&(p.SetMod-1) != 0 {
@@ -297,10 +305,14 @@ func (p SampledPass) prepare() (*sampledState, bool, error) {
 	st := &sampledState{
 		m:      m,
 		groups: groups,
-		seen:   seen,
-		shift:  shift,
 		ipl:    int64(p.LineSize / trace.InstrBytes),
 		curWin: -1,
+	}
+	if p.CountDistinct {
+		st.seen = newLineSet()
+	}
+	for v := p.LineSize; v > 1; v >>= 1 {
+		st.shift++
 	}
 	for v := st.ipl; v > 1; v >>= 1 {
 		st.iplSh++
@@ -313,8 +325,10 @@ func (p SampledPass) prepare() (*sampledState, bool, error) {
 		}
 	}
 	for _, g := range groups {
-		// One row per set this pass can actually touch: all of them, or the
-		// sampled congruence class (rowShift compaction).
+		// Stacks are row-major, one row per set this pass can actually
+		// touch: all of them, or the sampled congruence class (rowShift
+		// compaction). Key 0 marks an empty slot, so line addresses are
+		// stored offset by one.
 		g.stack = make([]uint64, int((g.mask+1)>>st.rowShift)*g.amax)
 	}
 	switch {

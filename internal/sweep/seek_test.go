@@ -25,9 +25,9 @@ func seekSource(t *testing.T, name string, seed uint64, n int64, every int64) *s
 	return src
 }
 
-// RunSource must be bit-identical to Run over the compacted trace for every
-// sampling mode, since it is the streaming baseline the seek path is
-// differentially checked against.
+// RunChunks over a streaming Source must be bit-identical to Run over the
+// compacted trace for every sampling mode, since it is the streaming
+// baseline the seek path is differentially checked against.
 func TestSampledRunSourceMatchesRun(t *testing.T) {
 	runs := testRuns(t, "gs", 11, 120_000)
 	passes := []SampledPass{
@@ -45,12 +45,12 @@ func TestSampledRunSourceMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.RunSource(src)
+		got, err := p.RunChunks(trace.SourceChunks(src))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pass %d: RunSource diverged from Run:\n got %+v\nwant %+v", pi, got, want)
+			t.Fatalf("pass %d: streamed RunChunks diverged from Run:\n got %+v\nwant %+v", pi, got, want)
 		}
 	}
 }

@@ -23,16 +23,17 @@
 // configuration through cache.Cache / fetch.NewBlocking —
 // internal/check's sweep differential enforces exactly that.
 //
-// Pass.Run consumes materialized refs in an inlined hot loop. Every other
-// trace shape — a columnar file block by block, a per-reference stream
-// compacted on the fly — goes through one run-chunk driver per pass kind,
-// Pass.RunChunks and SampledPass.RunChunks over trace.Chunks; RunBlocks,
-// RunSource and RunSeek wrap a shape in its adapter.
+// Pass.Run consumes materialized refs in an inlined per-reference hot loop:
+// the reference every other path is checked against. Every run-compacted
+// trace shape — an in-memory []trace.Run, a columnar file block by block, a
+// per-reference stream compacted on the fly — goes through one line-granular
+// kernel over trace.Chunks, SampledPass.RunChunks; Pass.RunChunks is its
+// exhaustive case (sampling off), and RunBlocks and RunSeek wrap a shape in
+// its adapter.
 package sweep
 
 import (
 	"context"
-	"fmt"
 
 	"ibsim/internal/trace"
 )
@@ -90,7 +91,7 @@ func (m *Matrix) MissesFor(sizeBytes, assoc int) (int64, bool) {
 // Pass configures one sweep over a trace.
 type Pass struct {
 	// LineSize is the line size in bytes shared by every cell; a power of
-	// two.
+	// two >= trace.InstrBytes.
 	LineSize int
 	// Cells is the capacity × associativity grid.
 	Cells []Cell
@@ -133,10 +134,11 @@ type group struct {
 
 // Run executes the pass and returns the miss matrix.
 func (p Pass) Run(refs []trace.Ref) (*Matrix, error) {
-	m, groups, seen, shift, err := p.prepare()
+	st, _, err := p.exhaustive().prepare()
 	if err != nil {
 		return nil, err
 	}
+	m, groups, seen, shift := st.m, st.groups, st.seen, st.shift
 	for ri, r := range refs {
 		if p.Ctx != nil && ri&cancelCheckMask == 0 {
 			if err := p.Ctx.Err(); err != nil {
@@ -188,34 +190,18 @@ func (p Pass) Run(refs []trace.Ref) (*Matrix, error) {
 // RunChunks executes the pass over a run-chunk source in O(grid) memory
 // plus one chunk, and returns the same miss matrix Run produces over the
 // equivalent expanded refs (every run instruction is an instruction fetch).
-// A source that fails mid-trace fails the pass with its error; the partial
-// matrix is discarded.
+// It is the exhaustive case of SampledPass.RunChunks, whose measured counts
+// are the matrix: one stack operation per touched line rather than per
+// instruction, exact because within a sequential run only a line's first
+// access can change stack state. A source that fails mid-trace fails the
+// pass with its error; the partial matrix is discarded.
 func (p Pass) RunChunks(src trace.Chunks) (*Matrix, error) {
-	m, groups, seen, shift, err := p.prepare()
+	sm, err := p.exhaustive().RunChunks(src)
 	if err != nil {
 		return nil, err
 	}
-	var ri int64
-	err = trace.EachChunk(p.Ctx, src, func(runs []trace.Run) error {
-		for _, r := range runs {
-			addr := r.Start
-			for j := int64(0); j < r.Len; j++ {
-				if p.Ctx != nil && ri&cancelCheckMask == 0 {
-					if err := p.Ctx.Err(); err != nil {
-						return err
-					}
-				}
-				ri++
-				p.step(m, groups, seen, shift, addr)
-				addr += trace.InstrBytes
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return &Matrix{LineSize: sm.LineSize, Accesses: sm.SampledInstructions, Distinct: sm.Distinct,
+		Cells: sm.Cells, Misses: sm.Misses}, nil
 }
 
 // RunBlocks is RunChunks over a block-granular trace (a columnar file).
@@ -223,112 +209,9 @@ func (p Pass) RunBlocks(bs trace.BlockSource) (*Matrix, error) {
 	return p.RunChunks(trace.NewBlockChunks(bs))
 }
 
-// RunSource is RunChunks over a streaming per-reference source, compacted
-// on the fly (only instruction fetches are counted): the degraded-mode path
-// for traces too large to materialize at all.
-func (p Pass) RunSource(src trace.Source) (*Matrix, error) {
-	return p.RunChunks(trace.SourceChunks(src))
-}
-
-// prepare validates the pass and builds the per-set-count groups, the
-// optional first-touch set, and the line-size shift shared by Run and
-// RunChunks.
-func (p Pass) prepare() (*Matrix, []*group, *lineSet, uint, error) {
-	m, groups, seen, shift, err := p.prepareCore()
-	if err != nil {
-		return nil, nil, nil, 0, err
-	}
-	for _, g := range groups {
-		// Stacks are row-major per set; key 0 marks an empty slot, so line
-		// addresses are stored offset by one.
-		g.stack = make([]uint64, (int(g.mask)+1)*g.amax)
-	}
-	return m, groups, seen, shift, nil
-}
-
-// prepareCore is prepare without the stack allocation, for passes (the
-// sampled sweep) that lay stacks out differently.
-func (p Pass) prepareCore() (*Matrix, []*group, *lineSet, uint, error) {
-	if p.LineSize <= 0 || p.LineSize&(p.LineSize-1) != 0 {
-		return nil, nil, nil, 0, fmt.Errorf("sweep: line size %d must be a positive power of two", p.LineSize)
-	}
-	if len(p.Cells) == 0 {
-		return nil, nil, nil, 0, fmt.Errorf("sweep: empty cell grid")
-	}
-	m := &Matrix{
-		LineSize: p.LineSize,
-		Cells:    append([]Cell(nil), p.Cells...),
-		Misses:   make([]int64, len(p.Cells)),
-	}
-	bySets := make(map[int]*group)
-	var groups []*group
-	for i, c := range p.Cells {
-		if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
-			return nil, nil, nil, 0, fmt.Errorf("sweep: cell %d: set count %d must be a positive power of two", i, c.Sets)
-		}
-		if c.Assoc < 1 {
-			return nil, nil, nil, 0, fmt.Errorf("sweep: cell %d: associativity %d must be >= 1", i, c.Assoc)
-		}
-		g, ok := bySets[c.Sets]
-		if !ok {
-			g = &group{mask: uint64(c.Sets - 1)}
-			bySets[c.Sets] = g
-			groups = append(groups, g)
-		}
-		if c.Assoc > g.amax {
-			g.amax = c.Assoc
-		}
-		g.cells = append(g.cells, groupCell{assoc: c.Assoc, out: i})
-	}
-	var seen *lineSet
-	if p.CountDistinct {
-		seen = newLineSet()
-	}
-	var shift uint
-	for v := p.LineSize; v > 1; v >>= 1 {
-		shift++
-	}
-	return m, groups, seen, shift, nil
-}
-
-// step settles one instruction fetch for every grid cell: the
-// per-instruction body of RunChunks. Run keeps its own inlined copy, because
-// the materialized path is the benchmarked hot loop.
-func (p Pass) step(m *Matrix, groups []*group, seen *lineSet, shift uint, addr uint64) {
-	la := addr >> shift
-	key := la + 1
-	if seen != nil && seen.add(key) {
-		m.Distinct++
-	}
-	for _, g := range groups {
-		base := int(la&g.mask) * g.amax
-		st := g.stack[base : base+g.amax]
-		if st[0] == key {
-			continue
-		}
-		pos := -1
-		for i := 1; i < g.amax; i++ {
-			if st[i] == key {
-				pos = i
-				break
-			}
-		}
-		if pos < 0 {
-			for _, c := range g.cells {
-				m.Misses[c.out]++
-			}
-			copy(st[1:], st[:g.amax-1])
-		} else {
-			for _, c := range g.cells {
-				if c.assoc <= pos {
-					m.Misses[c.out]++
-				}
-			}
-			copy(st[1:pos+1], st[:pos])
-		}
-		st[0] = key
-	}
-	m.Accesses++
+// exhaustive returns p as a sampled pass with sampling off.
+func (p Pass) exhaustive() SampledPass {
+	return SampledPass{LineSize: p.LineSize, Cells: p.Cells, CountDistinct: p.CountDistinct, Ctx: p.Ctx}
 }
 
 // lineSet is a minimal open-addressing hash set over non-zero uint64 keys,

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"ibsim/internal/cache"
@@ -37,9 +38,28 @@ func testRefs(t *testing.T, n int64) []trace.Ref {
 	return refs
 }
 
+// bothPaths runs p through Run over refs and through the line-granular
+// RunChunks over their run compaction, and fails unless the two matrices
+// agree on every count.
+func bothPaths(t *testing.T, p Pass, refs []trace.Ref) *Matrix {
+	t.Helper()
+	m, err := p.Run(refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := p.RunChunks(trace.RunChunks(trace.Compact(refs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mc, m) {
+		t.Fatalf("line %d: RunChunks over runs %+v != Run over refs %+v", p.LineSize, mc, m)
+	}
+	return m
+}
+
 func TestMatrixMatchesPerConfigReplay(t *testing.T) {
 	refs := testRefs(t, 200_000)
-	for _, lineSize := range []int{8, 32, 256} {
+	for _, lineSize := range []int{4, 8, 32, 256} {
 		var cells []Cell
 		for _, kb := range []int{4, 16, 64} {
 			for _, a := range []int{1, 2, 8} {
@@ -47,10 +67,9 @@ func TestMatrixMatchesPerConfigReplay(t *testing.T) {
 				cells = append(cells, Cell{Sets: lines / a, Assoc: a})
 			}
 		}
-		m, err := Run(lineSize, cells, refs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// One fully-associative 1-KB cell.
+		cells = append(cells, Cell{Sets: 1, Assoc: 1024 / lineSize})
+		m := bothPaths(t, Pass{LineSize: lineSize, Cells: cells, CountDistinct: true}, refs)
 		if m.Accesses != int64(len(refs)) {
 			t.Fatalf("accesses %d, want %d", m.Accesses, len(refs))
 		}
@@ -125,6 +144,7 @@ func TestRunValidation(t *testing.T) {
 	}{
 		{"line not power of two", Pass{LineSize: 24, Cells: []Cell{{Sets: 4, Assoc: 1}}}},
 		{"zero line", Pass{LineSize: 0, Cells: []Cell{{Sets: 4, Assoc: 1}}}},
+		{"line below instruction size", Pass{LineSize: 2, Cells: []Cell{{Sets: 4, Assoc: 1}}}},
 		{"no cells", Pass{LineSize: 32}},
 		{"sets not power of two", Pass{LineSize: 32, Cells: []Cell{{Sets: 3, Assoc: 1}}}},
 		{"zero assoc", Pass{LineSize: 32, Cells: []Cell{{Sets: 4, Assoc: 0}}}},
@@ -132,11 +152,15 @@ func TestRunValidation(t *testing.T) {
 		if _, err := tc.pass.Run(refs); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
+		if _, err := tc.pass.RunChunks(trace.RunChunks(trace.Compact(refs))); err == nil {
+			t.Errorf("%s: RunChunks: no error", tc.name)
+		}
 	}
 }
 
 // TestRandomizedGrids cross-checks random geometries on random synthetic
-// address streams (not just instruction traces).
+// address streams (not just instruction traces): jump targets land on any
+// byte, so runs start mid-line and off the 4-byte instruction grid.
 func TestRandomizedGrids(t *testing.T) {
 	rng := xrand.New(7)
 	refs := make([]trace.Ref, 60_000)
@@ -149,8 +173,8 @@ func TestRandomizedGrids(t *testing.T) {
 		}
 		refs[i].Kind = trace.IFetch
 	}
-	lineSizes := []int{4, 16, 64}
-	for trial := 0; trial < 6; trial++ {
+	lineSizes := []int{4, 8, 16, 32, 64, 128, 256}
+	for trial := 0; trial < 2*len(lineSizes); trial++ {
 		lineSize := lineSizes[trial%len(lineSizes)]
 		var cells []Cell
 		for len(cells) < 5 {
@@ -158,10 +182,9 @@ func TestRandomizedGrids(t *testing.T) {
 			assoc := 1 << rng.Intn(4)
 			cells = append(cells, Cell{Sets: sets, Assoc: assoc})
 		}
-		m, err := Run(lineSize, cells, refs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// A fully-associative cell of up to 64 lines.
+		cells = append(cells, Cell{Sets: 1, Assoc: 1 + rng.Intn(64)})
+		m := bothPaths(t, Pass{LineSize: lineSize, Cells: cells, CountDistinct: true}, refs)
 		for i, c := range cells {
 			cfg := cache.Config{Size: c.Size(lineSize), LineSize: lineSize, Assoc: c.Assoc}
 			want := replayMisses(t, cfg, refs)
@@ -221,8 +244,9 @@ func TestRunHonorsContext(t *testing.T) {
 	}
 }
 
-// RunSource must agree exactly with Run on the same stream: the streaming
-// path is the degraded-mode fallback and may not change any number.
+// RunChunks over a streaming Source must agree exactly with Run on the same
+// stream: the streaming path is the degraded-mode fallback and may not
+// change any number.
 func TestRunSourceMatchesRun(t *testing.T) {
 	refs := testRefs(t, 150_000)
 	p := Pass{
@@ -234,7 +258,7 @@ func TestRunSourceMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.RunSource(trace.NewSliceSource(refs))
+	got, err := p.RunChunks(trace.SourceChunks(trace.NewSliceSource(refs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,37 +296,38 @@ func (s *errAfterSource) Err() error {
 	return nil
 }
 
-// A source error must abort RunSource with that error, not a silent
-// partial matrix.
+// A source error must abort a streamed RunChunks with that error, not a
+// silent partial matrix.
 func TestRunSourcePropagatesSourceError(t *testing.T) {
 	refs := testRefs(t, 10_000)
 	boom := errors.New("sweep test: injected stream failure")
 	p := Pass{LineSize: 32, Cells: []Cell{{Sets: 64, Assoc: 1}}}
-	_, err := p.RunSource(&errAfterSource{refs: refs, n: 5_000, err: boom})
+	_, err := p.RunChunks(trace.SourceChunks(&errAfterSource{refs: refs, n: 5_000, err: boom}))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected cause", err)
 	}
 }
 
-// Cancellation mid-stream aborts RunSource with the context's error.
+// Cancellation mid-stream aborts a streamed RunChunks with the context's
+// error.
 func TestRunSourceCancellation(t *testing.T) {
 	refs := testRefs(t, 400_000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := Pass{LineSize: 32, Cells: []Cell{{Sets: 64, Assoc: 1}}, Ctx: ctx}
-	if _, err := p.RunSource(trace.NewSliceSource(refs)); !errors.Is(err, context.Canceled) {
+	if _, err := p.RunChunks(trace.SourceChunks(trace.NewSliceSource(refs))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// RunSource applies the same validation as Run.
+// RunChunks applies the same validation as Run.
 func TestRunSourceValidation(t *testing.T) {
 	p := Pass{LineSize: 33, Cells: []Cell{{Sets: 64, Assoc: 1}}}
-	if _, err := p.RunSource(trace.NewSliceSource(nil)); err == nil {
+	if _, err := p.RunChunks(trace.SourceChunks(trace.NewSliceSource(nil))); err == nil {
 		t.Fatal("line size 33 accepted")
 	}
 	p = Pass{LineSize: 32}
-	if _, err := p.RunSource(trace.NewSliceSource(nil)); err == nil {
+	if _, err := p.RunChunks(trace.SourceChunks(trace.NewSliceSource(nil))); err == nil {
 		t.Fatal("empty grid accepted")
 	}
 }

@@ -405,7 +405,10 @@ func (s *Store) compactStream(prof Profile, seed uint64, n int64) ([]trace.Run, 
 		return nil, fmt.Errorf("%w: %d runs need %d bytes, budget %d",
 			ErrOverBudget, len(runs), int64(len(runs))*runBytes, s.hardBudget)
 	}
-	return runs, nil
+	// Retain exactly len(runs): the entry is held for the store's lifetime
+	// and accounted at runBytes per run, while the compactor's append-grown
+	// buffer carries up to double that in spare capacity.
+	return append([]trace.Run(nil), runs...), nil
 }
 
 // Source returns a trace.Source over prof's instruction stream for
