@@ -137,11 +137,12 @@ serve:
 # records wall-clock and speedups in BENCH_ibsim.json, and exits non-zero
 # if any gated ratio regresses more than 20% against its recorded
 # baseline. Also runs the bulk-replay microbenchmarks (trace compaction,
-# per-ref vs FetchRun replay, columnar encode/decode).
+# per-ref vs FetchRun replay, columnar encode/decode, skip-sampled replay
+# over in-memory runs).
 bench:
 	$(GO) run ./cmd/ibscheck -bench-only -n 200000
-	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar' -benchmem \
-		./internal/trace ./internal/fetch
+	$(GO) test -run='^$$' -bench='CompactAppend|FetchPerRef|FetchRun|Columnar|SampledSkipRuns' -benchmem \
+		./internal/trace ./internal/fetch ./internal/replay
 
 # Go microbenchmarks (cache hot path, sweep engine, generators).
 microbench:

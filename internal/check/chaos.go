@@ -50,7 +50,7 @@ func RunChaos(opt Options) ([]Result, error) {
 		{"chaos/server-slow-loris", func() Result { return chaosServerSlowLoris(prof, opt.Seed) }},
 		{"chaos/server-cancel", func() Result { return chaosServerCancel(prof, opt.Seed) }},
 		{"chaos/server-over-budget", func() Result { return chaosServerOverBudget(prof, opt.Seed) }},
-		{"chaos/server-sampling-tier", func() Result { return chaosServerSamplingTier(prof, opt.Seed) }},
+		{"chaos/server-runs-tier", func() Result { return chaosServerRunsTier(prof, opt.Seed) }},
 		{"chaos/server-panic", func() Result { return chaosServerPanic(prof, opt.Seed) }},
 		{"chaos/cluster-worker-kill", func() Result { return chaosClusterWorkerKill(prof, opt.Seed) }},
 		{"chaos/cluster-hung-worker", func() Result { return chaosClusterHungWorker(prof, opt.Seed) }},

@@ -21,7 +21,7 @@ func TestRunChaosAllPass(t *testing.T) {
 		"chaos/over-budget-store", "chaos/checkpoint-corrupt",
 		"chaos/worker-panic",
 		"chaos/server-slow-loris", "chaos/server-cancel",
-		"chaos/server-over-budget", "chaos/server-sampling-tier",
+		"chaos/server-over-budget", "chaos/server-runs-tier",
 		"chaos/server-panic",
 		"chaos/cluster-worker-kill", "chaos/cluster-hung-worker",
 		"chaos/cluster-corrupt-partial", "chaos/cluster-cache-poison",

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -279,13 +280,13 @@ func chaosServerPanic(prof synth.Profile, seed uint64) Result {
 	return pass(name, "handler panic isolated to a structured 500; daemon kept serving")
 }
 
-// chaosServerSamplingTier proves the degradation ladder's ORDER: a store
-// that cannot hold the ref trace but can hold its run compaction must answer
-// from the sampling tier (degraded, confidence intervals attached, estimates
-// near the exact answer), and only a store too small for even the runs may
+// chaosServerRunsTier proves the degradation ladder's ORDER: a store that
+// cannot hold the ref trace but can hold its run compaction must answer
+// exactly from the runs tier — undegraded, unsampled, and equal to the
+// healthy server's answer — and only a store too small for even the runs may
 // fall to the streaming tier below it.
-func chaosServerSamplingTier(prof synth.Profile, seed uint64) Result {
-	const name = "chaos/server-sampling-tier"
+func chaosServerRunsTier(prof synth.Profile, seed uint64) Result {
+	const name = "chaos/server-runs-tier"
 	const n = 20_000
 	// Budgets bracketing the run compaction: refs need n*16 = 320 KB, the
 	// compacted runs a few tens of KB.
@@ -313,27 +314,12 @@ func chaosServerSamplingTier(prof synth.Profile, seed uint64) Result {
 
 	code, sresp, eb, err := postSweep(mid.base, body)
 	if err != nil || code != http.StatusOK || sresp == nil {
-		return fail(name, "mid-budget sweep = %d (%+v, err %v), want sampled 200", code, eb, err)
+		return fail(name, "mid-budget sweep = %d (%+v, err %v), want exact 200", code, eb, err)
 	}
-	switch {
-	case !sresp.Degraded:
-		return fail(name, "sampling-tier answer not marked degraded: %+v", sresp)
-	case sresp.Sampling == nil:
-		return fail(name, "mid-budget answer has no sampling block (reason %q) — tier skipped", sresp.DegradedReason)
-	case sresp.Sampling.CI95 <= 0 || sresp.Sampling.Coverage <= 0 || sresp.Sampling.Coverage >= 1:
-		return fail(name, "sampling block not populated: %+v", sresp.Sampling)
-	case !strings.Contains(sresp.DegradedReason, "sampled"):
-		return fail(name, "reason %q does not say the answer is sampled", sresp.DegradedReason)
-	}
-	for i, c := range sresp.Cells {
-		exactMPI := float64(exact.Cells[i].Misses) / float64(exact.Accesses)
-		tol := 3 * c.CI95
-		if fl := 0.5 * exactMPI; tol < fl {
-			tol = fl
-		}
-		if d := c.MPI - exactMPI; d < -tol || d > tol {
-			return fail(name, "cell %d: sampled MPI %v vs exact %v beyond tolerance %v", i, c.MPI, exactMPI, tol)
-		}
+	exact.ElapsedSeconds, sresp.ElapsedSeconds = 0, 0
+	if !reflect.DeepEqual(sresp, exact) {
+		return fail(name, "mid-budget answer differs from the healthy server's — runs tier skipped (reason %q):\n got %+v\nwant %+v",
+			sresp.DegradedReason, sresp, exact)
 	}
 
 	code, tresp, eb, err := postSweep(tiny.base, body)
@@ -351,5 +337,5 @@ func chaosServerSamplingTier(prof synth.Profile, seed uint64) Result {
 			return fail(name, "streamed cell %d: %d misses, exact %d", i, tresp.Cells[i].Misses, exact.Cells[i].Misses)
 		}
 	}
-	return pass(name, "sampling tier engaged above streaming: sampled at coverage %.3f with CI95 %.2e, streamed exactly below it", sresp.Sampling.Coverage, sresp.Sampling.CI95)
+	return pass(name, "runs tier answered exactly and undegraded above streaming (%d accesses), streamed exactly below it", sresp.Accesses)
 }

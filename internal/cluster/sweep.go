@@ -251,7 +251,7 @@ func (c *Coordinator) sweepScatter(ctx context.Context, req server.SweepRequest,
 }
 
 // verifySweepShard vets one shard answer before it may win: right
-// workload, full requested scale (a clamped or auto-sampled partial cannot
+// workload, full requested scale (a clamped or sampled partial cannot
 // merge with exact siblings), and cell-for-cell grid shape.
 func verifySweepShard(req server.SweepRequest, resp *server.SweepResponse) error {
 	switch {

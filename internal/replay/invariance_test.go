@@ -19,7 +19,9 @@ import (
 // Every driver mode must give bit-identical results whatever shape the trace
 // is held in: an in-memory slice, RunsBlocks at 1, 7 and all runs per block,
 // an on-disk columnar file, a per-reference SliceSource, and a checkpointed
-// synth Seeker (which serves skip plans through its windows).
+// synth Seeker. Every source but the SliceSource serves skip plans through
+// its windows; the SliceSource has none, so it keeps the streamed skip path
+// compared with the windowed one.
 func TestSourceInvariance(t *testing.T) {
 	const n = 60_000
 	prof, err := synth.Lookup("gs")

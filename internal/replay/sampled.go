@@ -106,10 +106,10 @@ func (p SamplePlan) skips() bool { return p.timeMode() && !p.Warm && p.Window < 
 // engine in the bank and returns per-engine estimates in bank order. Engines
 // are mutated (fed the sample); as with Chunks, pass freshly built engines.
 //
-// A skip-mode time plan over a source with windows (trace.Windows: a
-// columnar block index, or a checkpointed trace.Seeker) reads only the
-// measured windows, each entered with one seek, so the gaps are never
-// decoded or generated: a 1% plan over a 100 GB trace touches ~1 GB of it.
+// A skip-mode time plan over a source with windows (trace.Windows: in-memory
+// runs, a columnar block index, or a checkpointed trace.Seeker) reads only
+// the measured windows, each entered with one seek, so the gaps are never
+// expanded, decoded or generated: a 1% plan over a 100 GB trace touches ~1 GB of it.
 // Every other plan streams each chunk through per-engine state that carries
 // across chunks, so results do not depend on how the trace is chunked; the
 // degenerate Window == Period plan streams too, because measuring

@@ -9,6 +9,7 @@ import (
 	"ibsim/internal/cache"
 	"ibsim/internal/fetch"
 	"ibsim/internal/memsys"
+	"ibsim/internal/synth"
 	"ibsim/internal/trace"
 )
 
@@ -183,6 +184,30 @@ func TestSampledCancellation(t *testing.T) {
 	} {
 		if _, err := Sampled(ctx, runs, bank(t), plan); !errors.Is(err, context.Canceled) {
 			t.Errorf("plan %+v: err = %v, want context.Canceled", plan, err)
+		}
+	}
+}
+
+// BenchmarkSampledSkipRuns times ibsimd's skip-sampled replay plan — windows
+// of n/256 instructions, one measured in every 16 — over an in-memory
+// run-compacted trace, through a fresh bank per iteration.
+func BenchmarkSampledSkipRuns(b *testing.B) {
+	const n = 2_000_000
+	prof, err := synth.Lookup("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	refs, err := synth.InstrTrace(prof, 1, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runs := trace.Compact(refs)
+	plan := SamplePlan{Window: n / 256, Period: 16 * (n / 256)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Sampled(context.Background(), runs, bank(b), plan); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

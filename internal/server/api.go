@@ -134,13 +134,14 @@ type SweepResponse struct {
 	Accesses     int64        `json:"accesses"`
 	Distinct     int64        `json:"distinct,omitempty"`
 	Cells        []CellResult `json:"cells"`
-	// Degraded marks a reduced-fidelity answer (clamped scale, an automatic
-	// sampling tier, or a streaming over-budget fallback); DegradedReason
-	// says why.
+	// Degraded marks an answer the server could not give at the asked scale
+	// from the trace in RAM (clamped scale, or an exact over-budget answer
+	// from the on-disk columnar trace or streaming regeneration);
+	// DegradedReason says why.
 	Degraded       bool   `json:"degraded"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	// Sampling is present when the answer was computed by sampled
-	// simulation (requested or engaged automatically).
+	// simulation, which only the request's sampling knob engages.
 	Sampling       *SamplingInfo `json:"sampling,omitempty"`
 	ElapsedSeconds float64       `json:"elapsed_seconds"`
 }
@@ -252,7 +253,7 @@ type ReplayResponse struct {
 	Degraded       bool           `json:"degraded"`
 	DegradedReason string         `json:"degraded_reason,omitempty"`
 	// Sampling is present when the answer was computed by sampled
-	// simulation (requested or engaged automatically).
+	// simulation, which only the request's sampling knob engages.
 	Sampling       *SamplingInfo `json:"sampling,omitempty"`
 	ElapsedSeconds float64       `json:"elapsed_seconds"`
 }

@@ -21,14 +21,13 @@
 //     as *experiments.WorkerError) becomes a structured 500; the daemon
 //     never dies with a request.
 //   - Graceful degradation, in tiers: requests beyond the server maxima are
-//     clamped; when the trace store cannot materialize the full trace the
-//     sweep/replay paths first engage sampled simulation over the
-//     run-compacted trace (reduced fidelity with explicit 95% confidence
-//     intervals — the "sampling" tier, also available on request via the
-//     sampling knob), and only when even the compacted trace is over budget
-//     fall back to streaming regeneration in O(1) memory; requests with
-//     near deadlines run at reduced scale. Every such answer carries an
-//     explicit "degraded": true marker.
+//     clamped; sweeps and replays are answered exactly from the memoized
+//     run-compacted trace, and when the store's budget cannot hold it, from
+//     the on-disk columnar trace, then from streaming regeneration in O(1)
+//     memory; requests with near deadlines run at reduced scale. Every such
+//     answer carries an explicit "degraded": true marker. Sampled simulation
+//     (reduced fidelity with explicit 95% confidence intervals) runs only
+//     when a request asks for it through the sampling knob.
 //   - Graceful shutdown: Run drains in-flight requests on context
 //     cancellation (SIGTERM in cmd/ibsimd) before returning.
 package server
@@ -190,7 +189,7 @@ type Server struct {
 	vars                                    *expvar.Map
 	mRequests, mAdmitted, mRejected, mDedup expvar.Int
 	mQueueTimeouts, mDegraded, mPanics      expvar.Int
-	mCanceled, mSampled, mColumnar, mSeek   expvar.Int
+	mCanceled, mColumnar, mSeek             expvar.Int
 }
 
 // New builds a Server from cfg.
@@ -212,7 +211,6 @@ func New(cfg Config) *Server {
 	s.vars.Set("degraded_total", &s.mDegraded)
 	s.vars.Set("panics_recovered_total", &s.mPanics)
 	s.vars.Set("canceled_total", &s.mCanceled)
-	s.vars.Set("sampling_tier_total", &s.mSampled)
 	s.vars.Set("columnar_tier_total", &s.mColumnar)
 	s.vars.Set("seek_tier_total", &s.mSeek)
 	s.vars.Set("inflight_bytes", expvar.Func(func() any { return s.limiter.Used() }))
@@ -624,7 +622,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.execute(w, r, "run:sweep", key, weight, timeout, func(ctx context.Context) runOutcome {
 		start := time.Now()
 		p := sweep.Pass{LineSize: req.LineSize, Cells: cells, CountDistinct: req.CountDistinct, Ctx: ctx}
-		m, sm, mode, degraded, why, err := s.sweepMatrix(ctx, p, prof, req.Seed, n, req.Sampling)
+		m, sm, degraded, why, err := s.sweepMatrix(ctx, p, prof, req.Seed, n, req.Sampling)
 		if err != nil {
 			return runOutcome{err: s.errorFor(err)}
 		}
@@ -649,7 +647,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				ci += est.CI95
 			}
 			resp.Sampling = &SamplingInfo{
-				Mode:                 mode,
+				Mode:                 req.Sampling.mode(),
 				Coverage:             sm.Coverage(),
 				CI95:                 ci / float64(len(sm.Cells)),
 				MeasuredInstructions: sm.SampledInstructions,
@@ -668,46 +666,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// The automatic sampling tier's policy knobs: 1/16 of the sets (halved until
-// the grid's smallest cell can cover whole sets), or — when the grid cannot
-// support set sampling at all — skip-mode time sampling at 1/16 coverage with
-// Instructions/256 windows. Skip (not warm) because warm replay still walks
-// the whole trace; only skipping buys the tier its speed.
-const (
-	autoSetMod    = 16
-	autoSetMatch  = 3
-	autoWindowDiv = 256
-	autoPeriodMul = 16
-	autoMinWindow = 64
-)
-
-// autoWindow sizes the automatic tier's measurement window.
-func autoWindow(n int64) int64 {
-	w := n / autoWindowDiv
-	if w < autoMinWindow {
-		w = autoMinWindow
-	}
-	return w
-}
-
-// autoSweepSpec picks the automatic sampling policy for a sweep grid.
-func autoSweepSpec(cells []sweep.Cell, n int64) SamplingSpec {
-	minSets := cells[0].Sets
-	for _, c := range cells[1:] {
-		if c.Sets < minSets {
-			minSets = c.Sets
-		}
-	}
-	mod := autoSetMod
-	for mod > minSets {
-		mod >>= 1
-	}
-	if mod > 1 {
-		return SamplingSpec{Set: mod}
-	}
-	w := autoWindow(n)
-	return SamplingSpec{Window: w, Period: autoPeriodMul * w, Skip: true}
-}
+// autoSetMatch is the congruence class a set-sampling request measures,
+// reduced mod the request's modulus.
+const autoSetMatch = 3
 
 // mode names the spec's sampling dimension for SamplingInfo.
 func (sp SamplingSpec) mode() string {
@@ -717,20 +678,10 @@ func (sp SamplingSpec) mode() string {
 	return "time"
 }
 
-// sweepMatrix answers one sweep through the degradation ladder: exactly
-// from the materialized refs when they fit, otherwise as ladder decides.
-// Exactly one of m and sm is set; mode names sm's sampling dimension.
-func (s *Server) sweepMatrix(ctx context.Context, p sweep.Pass, prof synth.Profile, seed uint64, n int64, spec *SamplingSpec) (m *sweep.Matrix, sm *sweep.SampledMatrix, mode string, degraded bool, reason string, err error) {
-	used, degraded, reason, err := s.ladder(ctx, prof, seed, n, spec, autoSweepSpec(p.Cells, n), family{
-		materialized: func() error {
-			refs, release, err := s.store.InstrCtx(ctx, prof, seed, n)
-			if err != nil {
-				return err
-			}
-			defer release()
-			m, err = p.Run(refs)
-			return err
-		},
+// sweepMatrix answers one sweep down the degradation ladder: sampled when
+// spec asks for it, otherwise exactly. Exactly one of m and sm is set.
+func (s *Server) sweepMatrix(ctx context.Context, p sweep.Pass, prof synth.Profile, seed uint64, n int64, spec *SamplingSpec) (m *sweep.Matrix, sm *sweep.SampledMatrix, degraded bool, reason string, err error) {
+	degraded, reason, err = s.ladder(ctx, prof, seed, n, spec, family{
 		sampled: func(spec SamplingSpec, src trace.Chunks) (err error) {
 			sp := sweep.SampledPass{LineSize: p.LineSize, Cells: p.Cells, CountDistinct: p.CountDistinct, Ctx: ctx}
 			if spec.Set > 1 {
@@ -745,16 +696,12 @@ func (s *Server) sweepMatrix(ctx context.Context, p sweep.Pass, prof synth.Profi
 			m, err = p.RunChunks(src)
 			return err
 		},
-		why: [3]string{
+		why: [2]string{
 			"sampling requested but even the columnar trace exceeds the store's hard budget; streamed an exact answer instead",
-			"trace exceeds the store's hard budget; answered by sampled simulation over the run-compacted trace (95% confidence intervals attached)",
 			"trace exceeds the store's hard budget; streamed without materializing",
 		},
 	})
-	if err != nil || used == nil {
-		return m, nil, "", degraded, reason, err
-	}
-	return nil, sm, used.mode(), degraded, reason, nil
+	return m, sm, degraded, reason, err
 }
 
 // --- /v1/replay ---------------------------------------------------------
@@ -858,22 +805,10 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 }
 
 // replayBank fans the trace out through the engines down the degradation
-// ladder: exactly from the memoized run-compacted trace when it fits,
-// otherwise as ladder decides, with skip-mode time sampling as the
-// automatic tier. Exactly one of results and sampled is set.
+// ladder: sampled when spec asks for it, otherwise exactly. Exactly one of
+// results and sampled is set.
 func (s *Server) replayBank(ctx context.Context, prof synth.Profile, seed uint64, n int64, engines []fetch.Engine, spec *SamplingSpec) (results []fetch.Result, sampled []replay.SampledResult, degraded bool, reason string, err error) {
-	w := autoWindow(n)
-	auto := SamplingSpec{Window: w, Period: autoPeriodMul * w, Skip: true}
-	used, degraded, reason, err := s.ladder(ctx, prof, seed, n, spec, auto, family{
-		materialized: func() error {
-			_, runs, release, err := s.store.InstrRuns(ctx, prof, seed, n)
-			if err != nil {
-				return err
-			}
-			defer release()
-			results, err = replay.Replay(ctx, runs, engines)
-			return err
-		},
+	degraded, reason, err = s.ladder(ctx, prof, seed, n, spec, family{
 		sampled: func(spec SamplingSpec, src trace.Chunks) (err error) {
 			plan := replay.SamplePlan{Window: spec.Window, Period: spec.Period, Warm: !spec.Skip}
 			sampled, err = replay.SampledChunks(ctx, src, engines, plan)
@@ -885,81 +820,60 @@ func (s *Server) replayBank(ctx context.Context, prof synth.Profile, seed uint64
 			results, err = replay.Chunks(ctx, src, engines, runtime.GOMAXPROCS(0))
 			return err
 		},
-		why: [3]string{
+		why: [2]string{
 			"sampling requested but even the columnar trace exceeds the store's hard budget; replayed exactly from streaming regeneration",
-			"trace exceeds the store's hard budget; answered by time-sampled replay over the run-compacted trace (95% confidence intervals attached)",
 			"trace exceeds the store's hard budget; replayed from streaming regeneration",
 		},
 	})
-	if err != nil || used == nil {
-		return results, nil, degraded, reason, err
-	}
-	return nil, sampled, degraded, reason, nil
+	return results, sampled, degraded, reason, err
 }
 
-// family is one request family's ways to answer, for ladder: exactly from
-// the materialized trace (ErrOverBudget when it does not fit), sampled or
-// exactly over a chunk source, and its degradation reasons for an explicit
-// sampling ask answered by streaming, the automatic sampling tier, and the
-// exact streaming tier.
+// family is one request family's two ways to answer over a chunk source,
+// for ladder: sampled under a spec, or exactly; and its degradation reasons
+// for an explicit sampling ask answered by streaming and for the exact
+// streaming tier.
 type family struct {
-	materialized func() error
-	sampled      func(spec SamplingSpec, src trace.Chunks) error
-	exact        func(src trace.Chunks) error
-	why          [3]string
+	sampled func(spec SamplingSpec, src trace.Chunks) error
+	exact   func(src trace.Chunks) error
+	why     [2]string
 }
 
 // ladder answers one request down the degradation ladder shared by sweeps
-// and replays, and returns the spec the answer was sampled under (nil for
-// an exact answer). An explicit sampling spec runs sampled from the start
-// (not degraded: reduced fidelity was the ask) over the RAM runs, else the
-// on-disk columnar trace at disk bandwidth, else — for skip-mode time
-// sampling, which never looks at the skipped spans — a checkpointed
-// seekable source that jumps between measured windows in O(1) memory;
-// failing all three it streams an exact answer. Otherwise: exact over the
-// materialized trace; if the store refuses, the automatic sampling tier
-// over the run-compacted trace (~6x smaller than the refs, so it usually
-// still fits; degraded, intervals attached); then the columnar-disk tier (an
-// EXACT answer at disk bandwidth); streaming regeneration only if even the
+// and replays. An explicit sampling spec runs sampled (not degraded: reduced
+// fidelity was the ask) over the RAM runs, else the on-disk columnar trace
+// at disk bandwidth, else — for skip-mode time sampling, which never looks
+// at the skipped spans — a checkpointed seekable source that jumps between
+// measured windows in O(1) memory; failing all three it streams an exact
+// answer. Otherwise the answer is exact: from the memoized run-compacted
+// trace (not degraded); if the store refuses it, from the on-disk columnar
+// trace at disk bandwidth; from streaming regeneration only if even the
 // columnar file is over budget. Over-budget failures happen before anything
 // is simulated, so every rung starts fresh.
-func (s *Server) ladder(ctx context.Context, prof synth.Profile, seed uint64, n int64, spec *SamplingSpec, auto SamplingSpec, f family) (used *SamplingSpec, degraded bool, reason string, err error) {
-	sampled := func(spec SamplingSpec, tiers ...tier) (tier, error) {
-		return s.withTrace(ctx, prof, seed, n, tiers, func(src trace.Chunks) error { return f.sampled(spec, src) })
-	}
-	exact := func(tiers ...tier) (tier, error) { return s.withTrace(ctx, prof, seed, n, tiers, f.exact) }
+func (s *Server) ladder(ctx context.Context, prof synth.Profile, seed uint64, n int64, spec *SamplingSpec, f family) (degraded bool, reason string, err error) {
 	if spec != nil {
-		t, err := sampled(*spec, spec.tiers()...)
+		t, err := s.withTrace(ctx, prof, seed, n, spec.tiers(), func(src trace.Chunks) error { return f.sampled(*spec, src) })
 		if err == nil {
 			if t == tierSeek {
 				s.mSeek.Add(1)
 			}
-			return spec, false, "", nil
+			return false, "", nil
 		}
 		if !errors.Is(err, synth.ErrOverBudget) {
-			return nil, false, "", err
+			return false, "", err
 		}
-		_, err = exact(tierStream)
-		return nil, true, f.why[0], err
+		_, err = s.withTrace(ctx, prof, seed, n, []tier{tierStream}, f.exact)
+		return true, f.why[0], err
 	}
-	if err = f.materialized(); !errors.Is(err, synth.ErrOverBudget) {
-		return nil, false, "", err
+	t, err := s.withTrace(ctx, prof, seed, n, []tier{tierRuns, tierColumnar, tierStream}, f.exact)
+	switch {
+	case err != nil:
+		return false, "", err
+	case t == tierColumnar:
+		return true, "trace exceeds the store's hard RAM budget; answered exactly from the on-disk columnar trace", nil
+	case t == tierStream:
+		return true, f.why[1], nil
 	}
-	if _, err = sampled(auto, tierRuns); err == nil {
-		s.mSampled.Add(1)
-		return &auto, true, f.why[1], nil
-	}
-	if !errors.Is(err, synth.ErrOverBudget) {
-		return nil, false, "", err
-	}
-	t, err := exact(tierColumnar, tierStream)
-	if err != nil {
-		return nil, false, "", err
-	}
-	if t == tierColumnar {
-		return nil, true, "trace exceeds the store's hard RAM budget; answered exactly from the on-disk columnar trace", nil
-	}
-	return nil, true, f.why[2], nil
+	return false, "", nil
 }
 
 // Trace tiers, in ladder order: the memoized run-compacted trace in RAM,
@@ -987,7 +901,9 @@ func (sp SamplingSpec) tiers() []tier {
 // withTrace runs fn over prof's trace, acquired as a chunk source from the
 // first of tiers the store's budget admits, and reports which tier served.
 // An over-budget tier falls through to the next; any other error stops the
-// ladder. A columnar acquisition is counted in columnar_tier_total.
+// ladder. Every tier but streaming has windows, so skip-mode sampling reads
+// only its measured windows wherever it is served from. A columnar
+// acquisition is counted in columnar_tier_total.
 func (s *Server) withTrace(ctx context.Context, prof synth.Profile, seed uint64, n int64, tiers []tier, fn func(trace.Chunks) error) (tier, error) {
 	var err error
 	for _, t := range tiers {

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -298,7 +299,7 @@ func TestNearDeadlineDegrades(t *testing.T) {
 	}
 }
 
-// When the store refuses to materialize the trace (hard budget), sweep and
+// When the store refuses to hold the trace (hard budget), sweep and
 // replay fall back to streaming regeneration: same numbers, degraded=true.
 // The streamed replay regenerates the trace once for the whole bank — a
 // blocking engine, a stream-buffer engine, and a second blocking engine
@@ -329,7 +330,7 @@ func TestOverBudgetStreamsDegraded(t *testing.T) {
 		return sresp, rresp, store.Stats().Fallbacks - before
 	}
 
-	fullSweep, fullReplay, _ := run(t, 0)           // unlimited: materialized path
+	fullSweep, fullReplay, _ := run(t, 0)           // unlimited: the runs tier
 	degSweep, degReplay, fallbacks := run(t, 1<<10) // 1 KiB: every trace over budget
 
 	if fullSweep.Degraded || fullReplay.Degraded {
@@ -338,18 +339,18 @@ func TestOverBudgetStreamsDegraded(t *testing.T) {
 	if !degSweep.Degraded || !degReplay.Degraded {
 		t.Fatalf("over-budget store did not degrade: sweep=%v replay=%v", degSweep.Degraded, degReplay.Degraded)
 	}
-	// Streaming regeneration is bit-exact with materialization.
+	// Streaming regeneration is bit-exact with the runs in RAM.
 	for i := range fullSweep.Cells {
 		if degSweep.Cells[i].Misses != fullSweep.Cells[i].Misses {
-			t.Errorf("sweep cell %d: streamed %d != materialized %d", i, degSweep.Cells[i].Misses, fullSweep.Cells[i].Misses)
+			t.Errorf("sweep cell %d: streamed %d != in-RAM %d", i, degSweep.Cells[i].Misses, fullSweep.Cells[i].Misses)
 		}
 	}
 	if len(degReplay.Results) != len(fullReplay.Results) {
-		t.Fatalf("replay: %d streamed results, %d materialized", len(degReplay.Results), len(fullReplay.Results))
+		t.Fatalf("replay: %d streamed results, %d in RAM", len(degReplay.Results), len(fullReplay.Results))
 	}
 	for i := range fullReplay.Results {
 		if degReplay.Results[i] != fullReplay.Results[i] {
-			t.Errorf("replay engine %d: streamed %+v != materialized %+v", i, degReplay.Results[i], fullReplay.Results[i])
+			t.Errorf("replay engine %d: streamed %+v != in-RAM %+v", i, degReplay.Results[i], fullReplay.Results[i])
 		}
 	}
 	if fallbacks != 1 {
@@ -581,7 +582,7 @@ func TestExhibitClampsTrials(t *testing.T) {
 	}
 }
 
-// --- sampling tier ------------------------------------------------------
+// --- sampling knob and trace tiers ---------------------------------------
 
 // The sampling knob: an explicit sampling spec returns estimates with
 // confidence intervals and a SamplingInfo block, NOT marked degraded —
@@ -720,11 +721,11 @@ func TestSweepLineSizeBelowInstruction(t *testing.T) {
 	}
 }
 
-// The degradation ladder engages in order: a store that cannot hold the ref
-// trace but can hold its run compaction answers from the sampling tier
-// (degraded, intervals attached); only when even the runs are over budget
-// does the server fall to streaming regeneration.
-func TestSamplingTierEngagesBeforeStreaming(t *testing.T) {
+// The first exact rung is the memoized run-compacted trace: a store whose
+// budget cannot hold the per-reference trace but holds its run compaction
+// answers exactly and undegraded — field for field what an unlimited store
+// answers — and only a store too small for even the runs falls to streaming.
+func TestRunsTierEngagesBeforeStreaming(t *testing.T) {
 	// eqntott at 100k: refs 1.6 MB, run compaction ~210 KB. 512 KiB sits
 	// between the two.
 	const midBudget, tinyBudget = 1 << 19, 1 << 10
@@ -745,41 +746,26 @@ func TestSamplingTierEngagesBeforeStreaming(t *testing.T) {
 		if code, raw := postJSON(t, ts.URL+"/v1/replay", rreq, &rresp); code != 200 {
 			t.Fatalf("replay = %d: %s", code, raw)
 		}
+		sresp.ElapsedSeconds, rresp.ElapsedSeconds = 0, 0
 		return s, sresp, rresp
 	}
 
+	_, wantSweep, wantReplay := run(t, 0) // unlimited store: the exact oracle
 	s, midSweep, midReplay := run(t, midBudget)
-	for name, resp := range map[string]struct {
-		degraded bool
-		reason   string
-		sampling *SamplingInfo
-	}{
-		"sweep":  {midSweep.Degraded, midSweep.DegradedReason, midSweep.Sampling},
-		"replay": {midReplay.Degraded, midReplay.DegradedReason, midReplay.Sampling},
-	} {
-		if !resp.degraded {
-			t.Errorf("%s: mid-budget store did not degrade", name)
-		}
-		if resp.sampling == nil {
-			t.Fatalf("%s: mid-budget answer has no sampling block (reason %q)", name, resp.reason)
-		}
-		if resp.sampling.CI95 <= 0 {
-			t.Errorf("%s: sampling tier CI95 %v, want > 0", name, resp.sampling.CI95)
-		}
-		if !strings.Contains(resp.reason, "sampled") {
-			t.Errorf("%s: reason %q does not say the answer is sampled", name, resp.reason)
-		}
+	if midSweep.Degraded || midReplay.Degraded {
+		t.Errorf("mid-budget store degraded: sweep %q, replay %q", midSweep.DegradedReason, midReplay.DegradedReason)
 	}
-	if got := s.mSampled.Value(); got != 2 {
-		t.Errorf("sampling_tier_total = %d, want 2", got)
+	if midSweep.Sampling != nil || midReplay.Sampling != nil {
+		t.Error("mid-budget store sampled; the runs fit, so the answer must be exact")
 	}
-	// Sweeps pick set sampling when the grid supports it; replay banks use
-	// skip-mode time sampling (the only plan that is actually faster).
-	if midSweep.Sampling.Mode != "set" {
-		t.Errorf("auto sweep mode %q, want set", midSweep.Sampling.Mode)
+	if !reflect.DeepEqual(midSweep, wantSweep) {
+		t.Errorf("mid-budget sweep:\n got %+v\nwant %+v", midSweep, wantSweep)
 	}
-	if midReplay.Sampling.Mode != "time" {
-		t.Errorf("auto replay mode %q, want time", midReplay.Sampling.Mode)
+	if !reflect.DeepEqual(midReplay, wantReplay) {
+		t.Errorf("mid-budget replay:\n got %+v\nwant %+v", midReplay, wantReplay)
+	}
+	if got := s.mColumnar.Value(); got != 0 {
+		t.Errorf("columnar_tier_total = %d, want 0: the runs tier should have served", got)
 	}
 
 	_, tinySweep, tinyReplay := run(t, tinyBudget)
@@ -798,8 +784,8 @@ func TestSamplingTierEngagesBeforeStreaming(t *testing.T) {
 	}
 }
 
-// The columnar-disk tier sits between sampling and streaming: a store whose
-// budget rejects even the run compaction but admits the much smaller
+// The columnar-disk tier sits between the runs tier and streaming: a store
+// whose budget rejects even the run compaction but admits the much smaller
 // columnar file answers EXACTLY from disk — same numbers as an unlimited
 // store, marked degraded with a columnar reason and no sampling block. An
 // explicit sampling request at the same budget is satisfied as asked

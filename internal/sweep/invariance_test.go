@@ -14,9 +14,12 @@ import (
 
 // Every pass mode must give bit-identical matrices whatever shape the trace
 // is held in — the exact pass the matrix of Pass.Run over the expanded refs,
-// each sampled pass the matrix of SampledPass.Run: an in-memory slice, RunsBlocks at 1, 7 and all runs per block,
-// an on-disk columnar file, a per-reference SliceSource, and a checkpointed
-// synth Seeker (which serves skip passes through its windows).
+// each sampled pass the matrix of SampledPass.Run: an in-memory slice,
+// RunsBlocks at 1, 7 and all runs per block, an on-disk columnar file, a
+// per-reference SliceSource, and a checkpointed synth Seeker. Every source
+// but the SliceSource serves skip passes through its windows; the
+// SliceSource has none, so it keeps the streamed skip path compared with
+// the windowed one.
 func TestSourceInvariance(t *testing.T) {
 	const n = 60_000
 	prof, err := synth.Lookup("gs")

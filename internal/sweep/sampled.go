@@ -135,9 +135,9 @@ type sampledState struct {
 
 // RunChunks executes the sampled pass over a run-chunk source. A skip-mode
 // time pass (Warm off, Window < Period) over a source with windows
-// (trace.Windows: a columnar block index, or a checkpointed trace.Seeker)
-// visits only the measured windows, so the gaps are never decoded or
-// generated. Otherwise every chunk is fed in turn: set-only passes through
+// (trace.Windows: in-memory runs, a columnar block index, or a checkpointed
+// trace.Seeker) visits only the measured windows, so the gaps are never
+// decoded or generated. Otherwise every chunk is fed in turn: set-only passes through
 // the runSetOnly fast path (its state is all in the stacks), the rest
 // through feed with the absolute position carried across chunks. The
 // line-granular touch machinery is segmentation-invariant, so every route

@@ -303,11 +303,11 @@ func (s *Store) InstrRuns(ctx context.Context, prof Profile, seed uint64, n int6
 // (seed, n) WITHOUT materializing the per-reference stream: generation
 // streams through an incremental trace.Compactor, so peak memory is O(runs)
 // — typically a few percent of the refs (instruction fetch is overwhelmingly
-// sequential). This is the sampling degradation tier's trace path: a request
-// whose refs exceed the hard budget usually still fits as runs. Unlike Instr,
-// the hard budget is enforced against the ACTUAL compacted size as it grows,
-// not a worst-case estimate; a pathologically non-sequential stream aborts
-// with ErrOverBudget mid-generation. The slice is shared and read-only; the
+// sequential). It is the trace form the exhibits and ibsimd's first exact
+// tier read: a trace whose refs exceed the hard budget usually still fits as
+// runs. Unlike Instr, the hard budget is enforced against the ACTUAL
+// compacted size as it grows, not a worst-case estimate; a pathologically
+// non-sequential stream aborts with ErrOverBudget mid-generation. The slice is shared and read-only; the
 // release function must be called exactly once.
 func (s *Store) RunsOnly(ctx context.Context, prof Profile, seed uint64, n int64) ([]trace.Run, func(), error) {
 	if err := ctx.Err(); err != nil {

@@ -15,9 +15,10 @@ import (
 //     chunk into a reused buffer.
 //   - SourceChunks: a per-reference Source, compacted through a Compactor.
 //
-// The block adapter and SeekChunks, the Source adapter over a Seeker, also
-// implement Windows: the random access skip-mode sampling uses to visit only
-// the measured windows of a trace and never read the gaps between them.
+// RunChunks, the block adapter and SeekChunks, the Source adapter over a
+// Seeker, also implement Windows: the random access skip-mode sampling uses
+// to visit only the measured windows of a trace and never read the gaps
+// between them.
 
 // Chunks is a sequential source of run chunks. Next returns the next chunk
 // of the run-compacted trace, valid until the following call, and io.EOF
@@ -88,12 +89,16 @@ func EachWindow(ctx context.Context, w Windows, window, period int64, fn func(sp
 }
 
 // RunChunks returns runs as a Chunks source whose one chunk is the caller's
-// slice itself: no copy, however long the trace.
-func RunChunks(runs []Run) Chunks { return &runChunks{runs: runs} }
+// slice itself: no copy, however long the trace. Its windows are cut from
+// the slice by a forward run cursor, so a skip-mode plan steps over the
+// runs between windows without expanding them.
+func RunChunks(runs []Run) Chunks { return &runChunks{runs: runs, total: -1} }
 
 type runChunks struct {
-	runs []Run
-	done bool
+	runs  []Run
+	done  bool
+	total int64 // -1 until Total first sums the runs
+	cur   runCursor
 }
 
 func (c *runChunks) Next() ([]Run, error) {
@@ -102,6 +107,55 @@ func (c *runChunks) Next() ([]Run, error) {
 	}
 	c.done = true
 	return c.runs, nil
+}
+
+func (c *runChunks) Total() int64 {
+	if c.total < 0 {
+		c.total = 0
+		for _, r := range c.runs {
+			c.total += r.Len
+		}
+	}
+	return c.total
+}
+
+// Window needs no clipping: the cursor stops where the runs, and so the
+// trace, end.
+func (c *runChunks) Window(pos, n int64, dst []Run) ([]Run, error) {
+	dst, _ = c.cur.spans(c.runs, 0, pos, n, dst[:0])
+	return dst, nil
+}
+
+// runCursor walks a run slice by instruction position: run idx begins at
+// instruction pos. A window at or after pos resumes from it; one before it
+// restarts from the slice's first run.
+type runCursor struct {
+	idx int
+	pos int64
+}
+
+// spans appends to dst the sequential spans covering instructions
+// [at, at+n) of runs, whose first run begins at instruction base, stopping
+// early where runs end, and returns dst and the instruction after the last
+// one covered.
+func (c *runCursor) spans(runs []Run, base, at, n int64, dst []Run) ([]Run, int64) {
+	if at < c.pos {
+		c.idx, c.pos = 0, base
+	}
+	for c.idx < len(runs) && n > 0 {
+		r := runs[c.idx]
+		off := at - c.pos
+		if off >= r.Len {
+			c.idx++
+			c.pos += r.Len
+			continue
+		}
+		take := min(r.Len-off, n)
+		dst = append(dst, Run{Start: r.Start + uint64(off)*InstrBytes, Len: take, Domain: r.Domain})
+		at += take
+		n -= take
+	}
+	return dst, at
 }
 
 // BlockChunks reads a BlockSource one decoded block per chunk, into one
@@ -114,11 +168,10 @@ type BlockChunks struct {
 	buf  []Run
 
 	// Window cursor: buf holds block blk (-1: none), which covers
-	// instructions [blkPos, blkEnd); run runIdx of it starts at runPos.
+	// instructions [blkPos, blkEnd); cur walks its runs.
 	blk            int
 	blkPos, blkEnd int64
-	runIdx         int
-	runPos         int64
+	cur            runCursor
 }
 
 // NewBlockChunks returns a reader over bs from its first block.
@@ -165,25 +218,11 @@ func (c *BlockChunks) Window(pos, n int64, dst []Run) ([]Run, error) {
 				return nil, err
 			}
 			c.blk, c.blkPos, c.blkEnd = b, before, before+c.bs.BlockMeta(b).Refs
-			c.runIdx, c.runPos = 0, before
+			c.cur = runCursor{pos: before}
 		}
-		if pos < c.runPos {
-			// A backward seek within the block: restart its run cursor.
-			c.runIdx, c.runPos = 0, c.blkPos
-		}
-		for c.runIdx < len(c.buf) && n > 0 {
-			r := c.buf[c.runIdx]
-			off := pos - c.runPos
-			if off >= r.Len {
-				c.runIdx++
-				c.runPos += r.Len
-				continue
-			}
-			take := min(r.Len-off, n)
-			dst = append(dst, Run{Start: r.Start + uint64(off)*InstrBytes, Len: take, Domain: r.Domain})
-			pos += take
-			n -= take
-		}
+		var end int64
+		dst, end = c.cur.spans(c.buf, c.blkPos, pos, n, dst)
+		n, pos = n-(end-pos), end
 		if n > 0 && pos < c.blkEnd {
 			return nil, fmt.Errorf("trace: block %d decodes to fewer instructions than its index entry", c.blk)
 		}

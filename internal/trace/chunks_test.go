@@ -105,8 +105,8 @@ func (f *failAfter) Err() error {
 
 // Window must reconstruct exactly the instructions of [pos, pos+n) for
 // arbitrary positions, including across block boundaries, backward seeks,
-// and clipping at the trace end — over the columnar block index and over a
-// Seeker alike.
+// and clipping at the trace end — over in-memory runs, the columnar block
+// index and a Seeker alike.
 func TestChunksWindow(t *testing.T) {
 	refs := instrOnly(randomInstrTrace(xrand.New(23), 30_000))
 	runs := Compact(refs)
@@ -124,6 +124,7 @@ func TestChunksWindow(t *testing.T) {
 		{total / 2, 1},
 	}
 	for name, src := range map[string]Chunks{
+		"runs":        RunChunks(runs),
 		"columnar":    NewBlockChunks(cf),
 		"runs-blocks": NewBlockChunks(NewRunsBlocks(runs, 5)),
 		"seeker":      SeekChunks(&sliceSeeker{*NewSliceSource(refs)}),
@@ -154,6 +155,41 @@ func TestChunksWindow(t *testing.T) {
 	}
 	if _, ok := SourceChunks(&sliceSeeker{*NewSliceSource(refs)}).(Windows); ok {
 		t.Error("SourceChunks over a Seeker claims the Windows capability; it must read every reference")
+	}
+
+	// RunChunks' cursor over two known runs: a window inside one run, one
+	// across both, one clipped at Total, a backward seek, and one past the
+	// end; then an empty trace.
+	two, ok := RunChunks([]Run{{Start: 0x1000, Len: 100}, {Start: 0x9000, Len: 25, Domain: Kernel}}).(Windows)
+	if !ok || two.Total() != 125 {
+		t.Fatalf("RunChunks over two runs: Windows %v", ok)
+	}
+	for _, tc := range []struct {
+		pos, n int64
+		want   []Run
+	}{
+		{10, 20, []Run{{Start: 0x1000 + 10*InstrBytes, Len: 20}}},
+		{95, 10, []Run{{Start: 0x1000 + 95*InstrBytes, Len: 5}, {Start: 0x9000, Len: 5, Domain: Kernel}}},
+		{120, 50, []Run{{Start: 0x9000 + 20*InstrBytes, Len: 5, Domain: Kernel}}},
+		{3, 2, []Run{{Start: 0x1000 + 3*InstrBytes, Len: 2}}},
+		{125, 10, nil},
+	} {
+		spans, err := two.Window(tc.pos, tc.n, nil)
+		if err != nil || len(spans) != len(tc.want) {
+			t.Fatalf("RunChunks Window(%d,%d) = %+v, %v; want %+v", tc.pos, tc.n, spans, err, tc.want)
+		}
+		for i := range spans {
+			if spans[i] != tc.want[i] {
+				t.Errorf("RunChunks Window(%d,%d) span %d = %+v, want %+v", tc.pos, tc.n, i, spans[i], tc.want[i])
+			}
+		}
+	}
+	empty, ok := RunChunks(nil).(Windows)
+	if !ok {
+		t.Fatal("RunChunks(nil) has no Windows capability")
+	}
+	if spans, err := empty.Window(0, 10, nil); empty.Total() != 0 || err != nil || len(spans) != 0 {
+		t.Errorf("empty RunChunks: Total %d, Window(0,10) = %+v, %v", empty.Total(), spans, err)
 	}
 }
 
