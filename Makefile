@@ -75,8 +75,8 @@ bench-columnar:
 # Checkpoint-seek verification: the seek-sampled differential (RunSeek /
 # SampledSeek bit-identical to the run-materialized sampled paths), the
 # parallel-spill byte-identity differential, and the seek-vs-stream speedup
-# gate — a skip-mode sampled sweep at 1/16 window coverage on an over-budget
-# store must beat full streaming regeneration by the pinned ratio. (Flags
+# gate — a skip-mode sampled sweep at 1/16 window coverage must beat full
+# streaming regeneration by the pinned ratio. (Flags
 # must precede the stage name: the Go flag parser stops at the first
 # positional.)
 bench-seek:

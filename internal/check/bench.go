@@ -64,8 +64,8 @@ type Report struct {
 	// flat-RSS, and relative-throughput verdicts.
 	Columnar *ColumnarBench `json:"columnar,omitempty"`
 	// Seek records the checkpoint-seek streaming benchmark: full streaming
-	// regeneration vs checkpoint seek at 1/16 window coverage on an
-	// over-budget store, with speedup and bit-identity verdicts.
+	// regeneration vs checkpoint seek at 1/16 window coverage, with speedup
+	// and bit-identity verdicts.
 	Seek *SeekBench `json:"seek,omitempty"`
 	// Passed is the run's overall verdict.
 	Passed bool `json:"passed"`

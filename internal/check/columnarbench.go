@@ -156,15 +156,26 @@ func RunColumnarBench(opt Options) (*ColumnarBench, error) {
 
 	// Flat-RSS pass (untimed): replay from disk with HeapInuse sampled at
 	// every block; the peak growth over the post-GC baseline must stay under
-	// the RAM budget the expanded trace exceeds tenfold.
+	// the RAM budget the expanded trace exceeds tenfold. The one decode
+	// buffer the replay reuses is sized for the largest block and allocated
+	// before the baseline: it is O(block) by construction, and HeapInuse
+	// moves in whole spans, so whether one block's runs needed a fresh span
+	// (40KB for the ~20KB buffer at -n 8000) or found a free slot would
+	// otherwise decide the verdict. What the probe sees is what grows with
+	// the trace.
 	bank, err := columnarBank()
 	if err != nil {
 		return nil, fmt.Errorf("check: columnar bench: %w", err)
 	}
+	maxRuns := 0
+	for i := 0; i < bf.NumBlocks(); i++ {
+		maxRuns = max(maxRuns, bf.BlockMeta(i).Runs)
+	}
+	buf := make([]trace.Run, 0, maxRuns)
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	probe := &memProbe{BlockSource: bf, peak: ms.HeapInuse}
+	probe := &memProbe{BlockSource: bf, buf: buf, peak: ms.HeapInuse}
 	base := ms.HeapInuse
 	if _, err := replay.Blocks(ctx, probe, bank); err != nil {
 		return nil, fmt.Errorf("check: columnar bench: probed replay: %w", err)
@@ -243,9 +254,11 @@ func RunColumnarBench(opt Options) (*ColumnarBench, error) {
 }
 
 // memProbe wraps a BlockSource, sampling HeapInuse before every block read
-// to catch the replay's peak residency.
+// to catch the replay's peak residency, and hands the reader buf, the decode
+// buffer sized before the baseline, in place of a smaller one.
 type memProbe struct {
 	trace.BlockSource
+	buf  []trace.Run
 	peak uint64
 }
 
@@ -254,6 +267,9 @@ func (p *memProbe) BlockRuns(i int, dst []trace.Run) ([]trace.Run, error) {
 	runtime.ReadMemStats(&ms)
 	if ms.HeapInuse > p.peak {
 		p.peak = ms.HeapInuse
+	}
+	if cap(dst) < cap(p.buf) {
+		dst = p.buf
 	}
 	return p.BlockSource.BlockRuns(i, dst)
 }

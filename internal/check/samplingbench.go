@@ -109,9 +109,14 @@ func RunSamplingBench(opt Options) (*SamplingBench, error) {
 		}
 	}()
 	for _, p := range opt.Workloads {
-		refs, runs, release, err := synth.DefaultStore.InstrRuns(ctx, p, opt.Seed, opt.Instructions)
+		refs, release, err := synth.DefaultStore.Instr(p, opt.Seed, opt.Instructions)
 		if err != nil {
 			return nil, fmt.Errorf("check: sampling bench: warming %s: %w", p.Name, err)
+		}
+		releases = append(releases, release)
+		runs, release, err := synth.DefaultStore.RunsOnly(ctx, p, opt.Seed, opt.Instructions)
+		if err != nil {
+			return nil, fmt.Errorf("check: sampling bench: warming %s runs: %w", p.Name, err)
 		}
 		releases = append(releases, release)
 		ws = append(ws, workload{name: p.Name, refs: refs, runs: runs})

@@ -68,14 +68,18 @@ func SamplingBounds(opt Options) ([]Result, error) {
 		{name: "sampling/bounds-time-warm"},
 	}
 	for _, p := range opt.Workloads {
-		refs, runs, release, err := synth.DefaultStore.InstrRuns(context.Background(), p, opt.Seed, opt.Instructions)
+		refs, release, err := synth.DefaultStore.Instr(p, opt.Seed, opt.Instructions)
 		if err != nil {
 			return nil, fmt.Errorf("check: sampling bounds: %s: %w", p.Name, err)
 		}
 		exact, err := sweep.Pass{LineSize: 32, Cells: cells}.Run(refs)
+		release()
 		if err != nil {
-			release()
 			return nil, fmt.Errorf("check: sampling bounds: exact sweep %s: %w", p.Name, err)
+		}
+		runs, release, err := synth.DefaultStore.RunsOnly(context.Background(), p, opt.Seed, opt.Instructions)
+		if err != nil {
+			return nil, fmt.Errorf("check: sampling bounds: %s runs: %w", p.Name, err)
 		}
 		sampled := make([]*sweep.SampledMatrix, 2)
 		sampled[0], err = sweep.SampledPass{

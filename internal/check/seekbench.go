@@ -1,7 +1,6 @@
 package check
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"time"
@@ -12,8 +11,8 @@ import (
 )
 
 // SeekBench records the checkpoint-seek streaming benchmark: a skip-mode
-// time-sampled sweep (1/16 window coverage) over a store whose hard budget
-// rejects every materialized tier, run once by streaming full regeneration
+// time-sampled sweep (1/16 window coverage) over the store's streaming
+// sources, which never materialize a trace, run once by full regeneration
 // (RunChunks over trace.SourceChunks — every instruction generated, measured
 // or not) and once by checkpoint seek (RunSeek — only the measured windows
 // generated), with the speedup and bit-identity verdicts. cmd/ibscheck
@@ -23,9 +22,6 @@ import (
 type SeekBench struct {
 	// Instructions is the per-workload scale both paths ran at.
 	Instructions int64 `json:"instructions"`
-	// OverBudget reports that the store's hard budget rejected the
-	// materialized tiers, so both paths really ran over streaming sources.
-	OverBudget bool `json:"over_budget"`
 	// StreamSeconds and SeekSeconds are the wall-clock times of the
 	// full-regeneration streaming pass and the checkpoint-seek pass over
 	// the whole suite. Each is the minimum over seekBenchIters interleaved
@@ -43,9 +39,9 @@ type SeekBench struct {
 	// Identical reports that every seeked matrix was bit-identical to the
 	// streamed one — estimates, intervals, cluster counts.
 	Identical bool `json:"identical"`
-	// Passed is the stage verdict: identity and over-budget always, plus
-	// (at golden scale) the absolute >=5x floor and no more than a 20%
-	// speedup regression against the recorded baseline.
+	// Passed is the stage verdict: identity always, plus (at golden scale)
+	// the absolute >=5x floor and no more than a 20% speedup regression
+	// against the recorded baseline.
 	Passed bool `json:"passed"`
 	// Detail summarizes the comparison.
 	Detail string `json:"detail"`
@@ -64,12 +60,6 @@ const seekMinSpeedup = 5.0
 // reported time per path is the minimum.
 const seekBenchIters = 2
 
-// seekBenchHardBudget is the bench store's hard budget: far below the refs,
-// runs, and columnar footprints of any suite workload at golden scale, so
-// every request is forced onto the streaming tiers. The checkpoint index is
-// idle-budget metadata and is unaffected.
-const seekBenchHardBudget = 1 << 10
-
 // seekBenchGrid is the benchmark's cell grid: deliberately small. The seek
 // tier removes GENERATION cost — the sweep's per-line stack work over the
 // measured windows is identical on both paths — so a wide grid would just
@@ -81,8 +71,7 @@ func seekBenchGrid() []sweep.Cell {
 
 // RunSeekBench times the full-regeneration streaming sampled sweep against
 // the checkpoint-seek sampled sweep at 1/16 window coverage over the suite,
-// on a store too small to materialize anything, and verifies the seeked
-// estimates are bit-identical to the streamed ones.
+// and verifies the seeked estimates are bit-identical to the streamed ones.
 func RunSeekBench(opt Options) (*SeekBench, error) {
 	opt = opt.withDefaults()
 	sb := &SeekBench{Instructions: opt.Instructions}
@@ -92,16 +81,9 @@ func RunSeekBench(opt Options) (*SeekBench, error) {
 		Window: seekCheckWindow, Period: seekCheckPeriod,
 	}
 
-	store := synth.NewStoreLimits(16<<20, seekBenchHardBudget)
+	// The idle budget keeps every workload's checkpoint index between passes.
+	store := synth.NewStore(16 << 20)
 	defer store.Purge()
-
-	// The budget must actually bind, or the "streaming" pass would be a
-	// slice walk and the comparison meaningless.
-	if _, _, err := store.Instr(opt.Workloads[0], opt.Seed, opt.Instructions); errors.Is(err, synth.ErrOverBudget) {
-		sb.OverBudget = true
-	} else if err != nil {
-		return nil, fmt.Errorf("check: seek bench: probing budget: %w", err)
-	}
 
 	var streamed, seeked []*sweep.SampledMatrix
 	for i := 0; i < seekBenchIters; i++ {
@@ -160,9 +142,6 @@ func RunSeekBench(opt Options) (*SeekBench, error) {
 	perf := fmt.Sprintf("%.1fx speedup (%.2fs -> %.2fs) at %.1f%% coverage, %d checkpoints (%d B)",
 		sb.Speedup, sb.StreamSeconds, sb.SeekSeconds, 100*sb.Coverage, sb.Checkpoints, sb.CheckpointBytes)
 	switch {
-	case !sb.OverBudget:
-		sb.Passed = false
-		sb.Detail = perf + "; hard budget did not bind, comparison invalid"
 	case !sb.Identical:
 		sb.Passed = false
 		sb.Detail = perf + "; seeked estimates diverge from streamed"

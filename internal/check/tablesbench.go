@@ -70,7 +70,7 @@ func RunTablesBench(opt Options) (*TablesBench, error) {
 	// timing is charged for generating traces the other path then gets for
 	// free.
 	for _, p := range append(append([]synth.Profile(nil), opt.Workloads...), synth.SPEC92()...) {
-		_, _, release, err := synth.DefaultStore.InstrRuns(ctx, p, opt.Seed, opt.Instructions)
+		_, release, err := synth.DefaultStore.Instr(p, opt.Seed, opt.Instructions)
 		if err != nil {
 			return nil, fmt.Errorf("check: tables bench: warming %s: %w", p.Name, err)
 		}

@@ -9,7 +9,7 @@ import (
 
 // Limiter is a weighted semaphore with a bounded FIFO wait queue — the
 // admission controller in front of every simulation endpoint. Each request
-// is weighed by its estimated trace footprint (synth.TraceBytes); requests
+// is weighed by its estimated trace footprint (synth.RunBytes); requests
 // that fit run immediately, requests that don't wait in arrival order up to
 // the queue bound, and everything beyond that is rejected outright so the
 // daemon sheds load instead of accumulating it.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ibsim/internal/crashfs"
 	"ibsim/internal/synth"
 )
 
@@ -33,18 +34,30 @@ func TestSeekTierServesExplicitSkipSampling(t *testing.T) {
 		t.Fatalf("reference replay = %d: %s", code, raw)
 	}
 
+	spills := &spillCounter{FS: crashfs.OS()}
 	s, ts := testServer(t, func(c *Config) {
 		c.Store = synth.NewStoreLimits(1<<26, 1<<10) // rejects refs, runs, and columnar
+		c.Store.SetSpillFS(spills)
 	})
 	var sresp SweepResponse
 	if code, raw := postJSON(t, ts.URL+"/v1/sweep", sreq, &sresp); code != 200 {
 		t.Fatalf("sweep = %d: %s", code, raw)
 	}
+	// The replay reads the same trace: the store remembers that its runs
+	// and columnar file were over budget, so the replay goes straight to
+	// the seek tier, generating and spilling nothing on the way.
+	before, created := s.store.Stats(), spills.creates.Load()
 	var rresp ReplayResponse
 	if code, raw := postJSON(t, ts.URL+"/v1/replay", rreq, &rresp); code != 200 {
 		t.Fatalf("replay = %d: %s", code, raw)
 	}
 
+	if st := s.store.Stats(); st.Misses != before.Misses {
+		t.Errorf("replay after sweep missed the store: misses %d → %d", before.Misses, st.Misses)
+	}
+	if n := spills.creates.Load(); n != created {
+		t.Errorf("replay after sweep created %d spill temp files, want 0", n-created)
+	}
 	if sresp.Degraded || rresp.Degraded {
 		t.Errorf("seek tier marked explicit sampling degraded: sweep %q, replay %q",
 			sresp.DegradedReason, rresp.DegradedReason)

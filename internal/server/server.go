@@ -6,10 +6,13 @@
 //
 // Robustness is the design center, not an afterthought:
 //
-//   - Admission control: every simulation request is weighed by its
-//     estimated trace footprint (synth.TraceBytes) and admitted through a
-//     weighted semaphore with a bounded FIFO wait queue; overflow is shed
-//     as 429 + Retry-After instead of accumulating.
+//   - Admission control: every simulation request is weighed by
+//     synth.RunBytes, the worst-case size of one run-compacted trace (the
+//     form the store serves). That bounds a sweep or replay; an exhibit
+//     reads every workload and some studies also hold refs, so its weight
+//     is a per-trace estimate. Requests are admitted through a weighted
+//     semaphore with a bounded FIFO wait queue; overflow is shed as 429 +
+//     Retry-After instead of accumulating.
 //   - Deadlines: each request runs under a context deadline (client-chosen
 //     via timeout_ms, clamped to server bounds) that propagates into the
 //     experiment/sweep/replay layers, so no request can hold capacity
@@ -64,8 +67,8 @@ type Config struct {
 	// trace memory — requests over the budget degrade to streaming.
 	Store *synth.Store
 	// MaxInflightBytes is the weighted-semaphore capacity: the summed
-	// trace-footprint estimate of concurrently admitted requests (default
-	// 1 GiB).
+	// trace-footprint estimate (synth.RunBytes) of concurrently admitted
+	// requests (default 1 GiB).
 	MaxInflightBytes int64
 	// MaxQueue bounds how many requests may wait for admission beyond
 	// capacity (default 16, negative for no queue at all); the rest get
@@ -145,7 +148,7 @@ func (c Config) withDefaults() Config {
 		c.MaxInstructions = 8_000_000
 	}
 	// Admission must be able to grant the largest single request.
-	if max := c.MaxInflightBytes / synth.TraceBytes(1, true); c.MaxInstructions > max && max > 0 {
+	if max := c.MaxInflightBytes / synth.RunBytes(1); c.MaxInstructions > max && max > 0 {
 		c.MaxInstructions = max
 	}
 	if c.MaxTrials <= 0 {
@@ -617,7 +620,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	n, _, reason := s.clampScale(req.Instructions, 0, timeout)
 	req.Instructions, req.TimeoutMillis = n, 0 // normalize for the dedup key
 	key := canonicalKey("sweep", req)
-	weight := synth.TraceBytes(n, false)
+	weight := synth.RunBytes(n)
 
 	s.execute(w, r, "run:sweep", key, weight, timeout, func(ctx context.Context) runOutcome {
 		start := time.Now()
@@ -746,7 +749,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	n, _, reason := s.clampScale(req.Instructions, 0, timeout)
 	req.Instructions, req.TimeoutMillis = n, 0
 	key := canonicalKey("replay", req)
-	weight := synth.TraceBytes(n, true)
+	weight := synth.RunBytes(n)
 
 	s.execute(w, r, "run:replay", key, weight, timeout, func(ctx context.Context) runOutcome {
 		start := time.Now()
@@ -900,9 +903,10 @@ func (sp SamplingSpec) tiers() []tier {
 
 // withTrace runs fn over prof's trace, acquired as a chunk source from the
 // first of tiers the store's budget admits, and reports which tier served.
-// An over-budget tier falls through to the next; any other error stops the
-// ladder. Every tier but streaming has windows, so skip-mode sampling reads
-// only its measured windows wherever it is served from. A columnar
+// An over-budget tier falls through to the next — at once when the store
+// already found it over budget for this trace — and any other error stops
+// the ladder. Every tier but streaming has windows, so skip-mode sampling
+// reads only its measured windows wherever it is served from. A columnar
 // acquisition is counted in columnar_tier_total.
 func (s *Server) withTrace(ctx context.Context, prof synth.Profile, seed uint64, n int64, tiers []tier, fn func(trace.Chunks) error) (tier, error) {
 	var err error
@@ -977,7 +981,9 @@ func (s *Server) handleExhibit(w http.ResponseWriter, r *http.Request) {
 	n, trials, reason := s.clampScale(req.Instructions, req.Trials, timeout)
 	req.Instructions, req.Trials, req.TimeoutMillis = n, trials, 0
 	key := canonicalKey("exhibit", req)
-	weight := synth.TraceBytes(n, true)
+	// A per-trace estimate, not a bound: the exhibit reads every workload,
+	// and some studies materialize refs besides the runs.
+	weight := synth.RunBytes(n)
 
 	s.execute(w, r, "run:exhibit", key, weight, timeout, func(ctx context.Context) runOutcome {
 		start := time.Now()

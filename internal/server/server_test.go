@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"ibsim/internal/crashfs"
 	"ibsim/internal/fetch"
 	"ibsim/internal/replay"
 	"ibsim/internal/sweep"
@@ -205,7 +206,7 @@ func TestReplayMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, runs, release, err := synth.NewStore(1<<26).InstrRuns(context.Background(), prof, 0, 100_000)
+	runs, release, err := synth.NewStore(1<<26).RunsOnly(context.Background(), prof, 0, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,11 +410,11 @@ func TestSingleflightDedup(t *testing.T) {
 func TestAdmissionShedsWith429(t *testing.T) {
 	gate := make(chan struct{})
 	var entered atomic.Int64
-	// Replay weighs synth.TraceBytes(n, true) and MaxInstructions is
-	// derived as capacity/TraceBytes(1, true), so one max-scale replay
-	// fills the admission capacity exactly.
+	// Replay weighs synth.RunBytes(n) and MaxInstructions is derived as
+	// capacity/RunBytes(1), so one max-scale replay fills the admission
+	// capacity exactly.
 	_, ts := testServer(t, func(c *Config) {
-		c.MaxInflightBytes = synth.TraceBytes(50_000, true)
+		c.MaxInflightBytes = synth.RunBytes(50_000)
 		c.MaxQueue = -1 // no waiting: shed immediately
 		c.FaultHook = func(string) {
 			entered.Add(1)
@@ -444,6 +445,19 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
+	}
+}
+
+// Admission weighs requests by their run bytes, so the default 1 GiB
+// capacity admits a 40M-instruction request unclamped (1 GiB / 24 B ≈
+// 44.7M), and only a capacity too small for the configured cap lowers it.
+func TestMaxInstructionsClampByRunBytes(t *testing.T) {
+	if got := (Config{MaxInstructions: 40_000_000}).withDefaults().MaxInstructions; got != 40_000_000 {
+		t.Errorf("MaxInstructions = %d at the default capacity, want 40000000 kept", got)
+	}
+	c := Config{MaxInstructions: 40_000_000, MaxInflightBytes: synth.RunBytes(1_000_000)}
+	if got := c.withDefaults().MaxInstructions; got != 1_000_000 {
+		t.Errorf("MaxInstructions = %d under a 1M-instruction capacity, want 1000000", got)
 	}
 }
 
@@ -729,10 +743,15 @@ func TestRunsTierEngagesBeforeStreaming(t *testing.T) {
 	// eqntott at 100k: refs 1.6 MB, run compaction ~210 KB. 512 KiB sits
 	// between the two.
 	const midBudget, tinyBudget = 1 << 19, 1 << 10
+	var ts *httptest.Server
+	var spills *spillCounter
 	run := func(t *testing.T, hardBudget int64) (*Server, SweepResponse, ReplayResponse) {
 		t.Helper()
-		s, ts := testServer(t, func(c *Config) {
+		var s *Server
+		spills = &spillCounter{FS: crashfs.OS()}
+		s, ts = testServer(t, func(c *Config) {
 			c.Store = synth.NewStoreLimits(1<<26, hardBudget)
+			c.Store.SetSpillFS(spills)
 		})
 		sreq := SweepRequest{Workload: "eqntott", Instructions: 100_000, LineSize: 32,
 			Cells: []CellSpec{{Sets: 256, Assoc: 1}, {Sets: 1024, Assoc: 1}}}
@@ -768,7 +787,7 @@ func TestRunsTierEngagesBeforeStreaming(t *testing.T) {
 		t.Errorf("columnar_tier_total = %d, want 0: the runs tier should have served", got)
 	}
 
-	_, tinySweep, tinyReplay := run(t, tinyBudget)
+	tinyServer, tinySweep, tinyReplay := run(t, tinyBudget)
 	if !tinySweep.Degraded || !tinyReplay.Degraded {
 		t.Fatal("tiny-budget store did not degrade")
 	}
@@ -782,6 +801,37 @@ func TestRunsTierEngagesBeforeStreaming(t *testing.T) {
 			t.Errorf("%s: tiny-budget reason %q does not mention streaming", name, reason)
 		}
 	}
+	// The store remembers that the runs and the columnar file were over
+	// budget: a repeat streams at once, generating nothing and spilling
+	// nothing.
+	before, created := tinyServer.store.Stats(), spills.creates.Load()
+	var again SweepResponse
+	sreq := SweepRequest{Workload: "eqntott", Instructions: 100_000, LineSize: 32,
+		Cells: []CellSpec{{Sets: 256, Assoc: 1}, {Sets: 1024, Assoc: 1}}}
+	if code, raw := postJSON(t, ts.URL+"/v1/sweep", sreq, &again); code != 200 {
+		t.Fatalf("repeat sweep = %d: %s", code, raw)
+	}
+	again.ElapsedSeconds = 0
+	if !reflect.DeepEqual(again, tinySweep) {
+		t.Errorf("repeat sweep:\n got %+v\nwant %+v", again, tinySweep)
+	}
+	if st := tinyServer.store.Stats(); st.Misses != before.Misses {
+		t.Errorf("repeat sweep missed the store: misses %d → %d", before.Misses, st.Misses)
+	}
+	if n := spills.creates.Load(); n != created {
+		t.Errorf("repeat sweep created %d spill temp files, want 0", n-created)
+	}
+}
+
+// spillCounter counts the spill temp files a store creates.
+type spillCounter struct {
+	crashfs.FS
+	creates atomic.Int64
+}
+
+func (f *spillCounter) CreateTemp(dir, pattern string) (crashfs.File, error) {
+	f.creates.Add(1)
+	return f.FS.CreateTemp(dir, pattern)
 }
 
 // The columnar-disk tier sits between the runs tier and streaming: a store

@@ -344,11 +344,9 @@ func TestParallelSpillByteIdentical(t *testing.T) {
 // pathOf digs a columnar entry's backing path out of the store (test-only).
 func pathOf(t *testing.T, s *Store, prof Profile, seed uint64, n int64) string {
 	t.Helper()
-	key := storeKey{prof: prof, seed: seed, n: n, columnar: true}
-	key.prof.Data = DataProfile{}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[key]
+	e, ok := s.entries[keyFor(prof, seed, n, formColumnar)]
 	if !ok {
 		t.Fatal("columnar entry not found")
 	}

@@ -24,8 +24,8 @@ import (
 // lets the service's columnar-disk degradation tier serve exact results for
 // workloads whose run list alone would blow the RAM budget.
 //
-// Entries are memoized and ref-counted like every other tier; an evicted
-// entry closes its mapping and deletes its backing file.
+// Entries are memoized and ref-counted like every other form (Store.acquire);
+// an evicted entry closes its mapping and deletes its backing file.
 
 // colSpillBuf is the write-buffer size for spilling a columnar file.
 const colSpillBuf = 1 << 16
@@ -35,55 +35,16 @@ const colSpillBuf = 1 << 16
 // shared and read-only (safe for concurrent block reads with distinct
 // destination buffers); the release function must be called exactly once,
 // after which the file handle must not be used. A trace whose columnar
-// encoding exceeds the hard budget fails with ErrOverBudget.
+// encoding exceeds the hard budget fails with ErrOverBudget, at once on a
+// repeat (see acquire).
 func (s *Store) Columnar(ctx context.Context, prof Profile, seed uint64, n int64) (*trace.ColumnarFile, func(), error) {
-	if err := ctx.Err(); err != nil {
+	e, release, err := s.acquire(ctx, keyFor(prof, seed, n, formColumnar), func() (payload, error) {
+		return s.writeColumnar(prof, seed, n)
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	key := storeKey{prof: prof, seed: seed, n: n, columnar: true}
-	key.prof.Data = DataProfile{}
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if ok {
-		s.stats.Hits++
-		if e.refcount == 0 {
-			s.idleBytes -= entryBytes(e)
-		}
-		e.refcount++
-		s.tick++
-		e.lastUse = s.tick
-		s.mu.Unlock()
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			s.release(key, e)
-			return nil, nil, ctx.Err()
-		}
-		if e.err != nil {
-			s.release(key, e)
-			return nil, nil, e.err
-		}
-		return e.cf, s.releaseOnce(key, e), nil
-	}
-	s.stats.Misses++
-	e = &storeEntry{ready: make(chan struct{}), refcount: 1}
-	s.tick++
-	e.lastUse = s.tick
-	s.entries[key] = e
-	s.mu.Unlock()
-
-	e.cf, e.path, e.fileBytes, e.err = s.writeColumnar(prof, seed, n)
-	if e.err == nil {
-		s.mu.Lock()
-		s.stats.Spills++
-		s.mu.Unlock()
-	}
-	close(e.ready)
-	if e.err != nil {
-		s.release(key, e)
-		return nil, nil, e.err
-	}
-	return e.cf, s.releaseOnce(key, e), nil
+	return e.cf, release, nil
 }
 
 // spillDir returns the store's columnar spill directory, creating a
@@ -197,26 +158,26 @@ func (w *countWriter) Write(p []byte) (int, error) {
 // name — so a power failure at any instant leaves either sweepable temp
 // debris or a complete, CRC-valid published file, never a torn file under a
 // published name.
-func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (*trace.ColumnarFile, string, int64, error) {
+func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (payload, error) {
 	g, done, err := s.seekGen(prof, seed)
 	if err != nil {
-		return nil, "", 0, err
+		return payload{}, err
 	}
 	defer done()
 	dir, err := s.spillDir()
 	if err != nil {
-		return nil, "", 0, err
+		return payload{}, err
 	}
 	fsys := s.fs()
 	f, err := fsys.CreateTemp(dir, ".trace.ibsc.tmp-*")
 	if err != nil {
-		return nil, "", 0, fmt.Errorf("synth: creating columnar spill file: %w", err)
+		return payload{}, fmt.Errorf("synth: creating columnar spill file: %w", err)
 	}
 	tmp := f.Name()
-	fail := func(err error) (*trace.ColumnarFile, string, int64, error) {
+	fail := func(err error) (payload, error) {
 		f.Close()
 		fsys.Remove(tmp)
-		return nil, "", 0, err
+		return payload{}, err
 	}
 
 	cw := &countWriter{f: f}
@@ -258,13 +219,16 @@ func (s *Store) writeColumnar(prof Profile, seed uint64, n int64) (*trace.Column
 	s.mu.Unlock()
 	if err := fsys.Rename(tmp, path); err != nil {
 		fsys.Remove(tmp)
-		return nil, "", 0, fmt.Errorf("synth: publishing columnar spill: %w", err)
+		return payload{}, fmt.Errorf("synth: publishing columnar spill: %w", err)
 	}
 	fsys.SyncDir(dir) // best effort: persist the publish itself
 	cf, err := trace.OpenColumnar(path)
 	if err != nil {
 		fsys.Remove(path)
-		return nil, "", 0, fmt.Errorf("synth: reopening columnar spill: %w", err)
+		return payload{}, fmt.Errorf("synth: reopening columnar spill: %w", err)
 	}
-	return cf, path, cw.n, nil
+	s.mu.Lock()
+	s.stats.Spills++
+	s.mu.Unlock()
+	return payload{cf: cf, path: path, fileBytes: cw.n}, nil
 }

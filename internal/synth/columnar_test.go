@@ -122,7 +122,7 @@ func TestStoreColumnarEvictionDeletesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := s.entries[storeKeyColumnar(p, 11, 50_000)].path
+	path := s.entries[keyFor(p, 11, 50_000, formColumnar)].path
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("backing file missing while referenced: %v", err)
 	}
@@ -146,11 +146,4 @@ func TestStoreColumnarEvictionDeletesFile(t *testing.T) {
 	if got := s2.Stats().Entries; got != 0 {
 		t.Fatalf("%d entries survived purge", got)
 	}
-}
-
-// storeKeyColumnar builds the columnar key the way Columnar does.
-func storeKeyColumnar(p Profile, seed uint64, n int64) storeKey {
-	k := storeKey{prof: p, seed: seed, n: n, columnar: true}
-	k.prof.Data = DataProfile{}
-	return k
 }

@@ -74,22 +74,17 @@ var _ trace.Seeker = (*SeekSource)(nil)
 // not counted in Stats.Hits/Misses (the index is metadata about a trace, not
 // a trace).
 func (s *Store) Checkpoints(prof Profile, seed uint64) (*CheckpointIndex, func()) {
-	key := storeKey{prof: prof, seed: seed, ckpt: true}
-	key.prof.Data = DataProfile{}
+	key := keyFor(prof, seed, 0, formCheckpoints)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[key]
 	if !ok {
 		ready := make(chan struct{})
 		close(ready)
-		e = &storeEntry{ready: ready, ckix: NewCheckpointIndex(s.ckEvery)}
+		e = &storeEntry{ready: ready, payload: payload{ckix: NewCheckpointIndex(s.ckEvery)}}
 		s.entries[key] = e
-	} else if e.refcount == 0 {
-		s.idleBytes -= entryBytes(e)
 	}
-	e.refcount++
-	s.tick++
-	e.lastUse = s.tick
+	s.pinLocked(e)
 	return e.ckix, s.releaseOnce(key, e)
 }
 
@@ -137,14 +132,13 @@ func (s *Store) SeekSource(prof Profile, seed uint64, n int64) (*SeekSource, fun
 // instruction count — the resume point for a longer compaction pass. Returns
 // (nil, 0) when no usable prefix is cached.
 func (s *Store) runsPrefix(prof Profile, seed uint64, n int64) ([]trace.Run, int64) {
-	want := storeKey{prof: prof, seed: seed, runsOnly: true}
-	want.prof.Data = DataProfile{}
+	want := keyFor(prof, seed, 0, formRuns)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var best *storeEntry
 	var bestN int64
 	for k, e := range s.entries {
-		if !k.runsOnly || k.prof != want.prof || k.seed != want.seed || k.n > n || k.n <= bestN {
+		if k.form != formRuns || k.prof != want.prof || k.seed != want.seed || k.n > n || k.n <= bestN {
 			continue
 		}
 		select {
@@ -153,7 +147,7 @@ func (s *Store) runsPrefix(prof Profile, seed uint64, n int64) ([]trace.Run, int
 			continue // still generating; don't wait
 		}
 		if e.err != nil {
-			continue
+			continue // a verdict, not a trace
 		}
 		best, bestN = e, k.n
 	}

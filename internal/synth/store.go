@@ -26,61 +26,78 @@ const DefaultIdleBudget = 1 << 30
 // trace is generated once per process instead of once per experiment.
 var DefaultStore = NewStore(DefaultIdleBudget)
 
-// storeKey identifies one materialized instruction trace. The full Profile
-// value (comparable: scalars and fixed-size arrays only) participates so
+// storeForm is the form a store entry holds a trace in. Each form is its
+// own key space, so a budget admitting one form never aliases an entry
+// holding another.
+type storeForm uint8
+
+const (
+	formRefs        storeForm = iota // the per-reference slice (Instr)
+	formRuns                         // the run-length compaction only (RunsOnly)
+	formColumnar                     // an on-disk columnar file (Columnar, columnar.go)
+	formCheckpoints                  // a checkpoint index for (prof, seed), n always 0 (seek.go)
+)
+
+// storeKey identifies one memoized trace form. The full Profile value
+// (comparable: scalars and fixed-size arrays only) participates so
 // same-named variants — e.g. the Mach and Ultrix builds of an IBS workload,
 // or a caller-tweaked profile — never alias each other's traces.
 type storeKey struct {
 	prof Profile
 	seed uint64
 	n    int64
-	// runsOnly marks entries holding only the run-length compaction (no
-	// per-reference slice) — RunsOnly's key space, disjoint from Instr's so
-	// a budget admitting the runs never aliases an entry holding the refs.
-	runsOnly bool
-	// columnar marks entries holding an on-disk columnar trace file
-	// (Columnar's key space — see columnar.go).
-	columnar bool
-	// ckpt marks entries holding a checkpoint index for (prof, seed) — the
-	// seekable-generation tier's key space (see seek.go). n is always 0: one
-	// index serves every trace length of the pair.
-	ckpt bool
+	form storeForm
 }
 
-// storeEntry is one memoized trace with its reference count.
-type storeEntry struct {
-	ready chan struct{} // closed once refs/err are set
-	refs  []trace.Ref
-	err   error
+// keyFor returns the key of prof's (seed, n) trace in form. Every form is
+// instruction-only and InstrTrace zeroes the data profile, so profiles
+// differing only there yield the same stream: normalize to share the entry.
+func keyFor(prof Profile, seed uint64, n int64, form storeForm) storeKey {
+	prof.Data = DataProfile{}
+	return storeKey{prof: prof, seed: seed, n: n, form: form}
+}
 
-	// runs is the run-length compaction of refs, computed lazily by the
-	// first InstrRuns caller and shared (read-only) from then on. It is
-	// assigned under the store mutex so the idle-byte accounting, which
-	// reads len(runs) under the same mutex, never races the compaction.
-	runsOnce sync.Once
-	runs     []trace.Run
-
-	// Columnar entries live on disk instead of in refs/runs: cf is the
-	// opened file, path its location, fileBytes its on-disk size (what the
-	// budgets charge — the live-memory cost is one mmap'd block).
+// payload is what an entry holds, in its key's form. Columnar entries live
+// on disk: cf is the opened file, path its location, fileBytes its on-disk
+// size (what the budgets charge — the live-memory cost is one mmap'd
+// block). A checkpoint index's bytes only change while some holder's
+// generator appends to it, i.e. while refcount > 0, so the idle accounting
+// at the 0-transition stays exact.
+type payload struct {
+	refs      []trace.Ref
+	runs      []trace.Run
 	cf        *trace.ColumnarFile
 	path      string
 	fileBytes int64
+	ckix      *CheckpointIndex
+}
 
-	// ckix is the checkpoint index of a ckpt entry (see seek.go). Its bytes
-	// only change while some holder's generator appends to it, i.e. while
-	// refcount > 0, so the idle accounting at the 0-transition stays exact.
-	ckix *CheckpointIndex
+// storeEntry is one memoized trace form, or over-budget verdict, with its
+// reference count.
+type storeEntry struct {
+	ready chan struct{} // closed once payload/err are set (under the store mutex)
+	payload
+	// err is the build's failure. An ErrOverBudget entry outlives its
+	// holders as a verdict (see acquire); any other failure is dropped by
+	// its last release.
+	err error
 
 	refcount int
 	lastUse  int64 // store tick of the most recent acquire/release
 }
 
-// entryBytes is the retained size of an entry: the trace itself plus its
-// run-length compaction when one has been materialized, or the on-disk file
-// size for columnar entries. Callers must hold the store mutex (runs is
-// written under it).
+// verdictBytes is what an idle over-budget verdict is charged: about the
+// key, map slot and entry it occupies, so the idle LRU ages verdicts out
+// like any other entry.
+const verdictBytes = 1 << 10
+
+// entryBytes is the retained size of an entry: its in-memory trace, the
+// on-disk file size for columnar entries, the index for checkpoint entries,
+// or verdictBytes for a verdict. Callers hold the store mutex.
 func entryBytes(e *storeEntry) int64 {
+	if e.err != nil {
+		return verdictBytes
+	}
 	b := int64(len(e.refs))*refBytes + int64(len(e.runs))*runBytes + e.fileBytes
 	if e.ckix != nil {
 		b += e.ckix.Bytes()
@@ -110,8 +127,9 @@ func (s *Store) dropEntry(e *storeEntry) {
 
 // Stats reports store activity; Idle is the byte count held only by the
 // memoization cache (no outstanding handle). Fallbacks counts Source
-// requests served by streaming regeneration because materializing would
-// have exceeded the hard budget.
+// requests, each served by streaming regeneration. A repeated request for a
+// key whose trace was over the hard budget is a Hit on the remembered
+// verdict.
 type Stats struct {
 	Hits, Misses, Evictions int64
 	Fallbacks               int64
@@ -120,8 +138,9 @@ type Stats struct {
 	Spills     int64
 	SpillBytes int64
 	IdleBytes  int64
-	// Entries counts memoized trace entries (refs, runs, columnar).
-	// Checkpoint indexes — metadata about traces, not traces — are reported
+	// Entries counts memoized trace entries (refs, runs, columnar); it
+	// leaves out over-budget verdicts, which hold no trace. Checkpoint
+	// indexes — metadata about traces, not traces — are reported
 	// separately as CheckpointEntries/CheckpointBytes/Checkpoints.
 	Entries           int
 	CheckpointEntries int
@@ -130,11 +149,12 @@ type Stats struct {
 }
 
 // Store memoizes materialized instruction traces keyed by
-// (profile, seed, instruction count). Entries are ref-counted:
-// Instr returns the trace together with a release function, and a released
-// entry stays cached — up to the idle-byte budget, evicting least-recently
-// used idle entries beyond it — so sequential experiments over the same
-// suite reuse each other's generation work.
+// (profile, seed, instruction count, form). Entries are ref-counted: Instr,
+// RunsOnly and Columnar return the trace together with a release function,
+// and a released entry stays cached — up to the idle-byte budget, evicting
+// least-recently used idle entries beyond it — so sequential experiments
+// over the same suite reuse each other's generation work. A key whose trace
+// was over the hard budget is remembered the same way, as a verdict.
 //
 // The returned slice is shared by every holder of the same key and MUST be
 // treated as read-only.
@@ -166,9 +186,9 @@ func NewStore(idleBudget int64) *Store {
 }
 
 // NewStoreLimits returns a store with both an idle-cache budget and a hard
-// per-trace materialization budget: an Instr request whose trace would
-// retain more than hardBudget bytes fails with ErrOverBudget instead of
-// attempting the allocation, and Source degrades to streaming regeneration.
+// per-trace materialization budget: a request whose trace would retain more
+// than hardBudget bytes fails with ErrOverBudget instead of holding it, and
+// the caller can fall back to streaming regeneration (Source, SeekSource).
 // hardBudget 0 means unlimited.
 func NewStoreLimits(idleBudget, hardBudget int64) *Store {
 	return &Store{entries: make(map[storeKey]*storeEntry), idleBudget: idleBudget, hardBudget: hardBudget}
@@ -181,20 +201,15 @@ const (
 	runBytes = 24
 )
 
-// TraceBytes estimates the bytes a store retains for one materialized
-// n-instruction trace; withRuns adds the worst case of its run-length
-// compaction (one run per ref). This is the same arithmetic Instr and
-// InstrRuns check against the hard budget, exported so admission control
-// (cmd/ibsimd's weighted limiter) can weigh a request before committing to
-// the allocation.
-func TraceBytes(n int64, withRuns bool) int64 {
+// RunBytes bounds the bytes a store retains for one n-instruction trace in
+// the run form RunsOnly serves: the worst case of one run per instruction.
+// Admission control (cmd/ibsimd's weighted limiter) weighs a request by it
+// before committing to the work.
+func RunBytes(n int64) int64 {
 	if n <= 0 {
 		return 0
 	}
-	if withRuns {
-		return n * (refBytes + runBytes)
-	}
-	return n * refBytes
+	return n * runBytes
 }
 
 // Instr returns prof's instruction-only trace for (seed, n) — the same
@@ -208,9 +223,7 @@ func (s *Store) Instr(prof Profile, seed uint64, n int64) ([]trace.Ref, func(), 
 
 // InstrCtx is Instr honoring ctx: a caller waiting on another goroutine's
 // in-flight generation returns ctx.Err() as soon as ctx is done, instead of
-// blocking to completion. The generation itself is not interrupted (another
-// caller may still want it); an abandoned wait releases the caller's
-// reference, so it cannot leak the entry.
+// blocking to completion (see acquire).
 func (s *Store) InstrCtx(ctx context.Context, prof Profile, seed uint64, n int64) ([]trace.Ref, func(), error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -219,84 +232,27 @@ func (s *Store) InstrCtx(ctx context.Context, prof Profile, seed uint64, n int64
 		return nil, nil, fmt.Errorf("%w: %d refs need %d bytes, budget %d",
 			ErrOverBudget, n, n*refBytes, s.hardBudget)
 	}
-	key := storeKey{prof: prof, seed: seed, n: n}
-	// InstrTrace zeroes the data profile, so profiles differing only there
-	// yield the same instruction stream — normalize to share the entry.
-	key.prof.Data = DataProfile{}
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if ok {
-		s.stats.Hits++
-		if e.refcount == 0 {
-			// Leaving the idle cache: its bytes are accounted to the holder.
-			s.idleBytes -= entryBytes(e)
-		}
-		e.refcount++
-		s.tick++
-		e.lastUse = s.tick
-		s.mu.Unlock()
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			// Safe: the generating caller holds its own reference until the
-			// entry is ready, so this decrement cannot free an unfinished
-			// entry out from under it.
-			s.release(key, e)
-			return nil, nil, ctx.Err()
-		}
-		if e.err != nil {
-			s.release(key, e)
-			return nil, nil, e.err
-		}
-		return e.refs, s.releaseOnce(key, e), nil
+	e, release, err := s.acquire(ctx, keyFor(prof, seed, n, formRefs), func() (payload, error) {
+		refs, err := s.instrTrace(prof, seed, n)
+		return payload{refs: refs}, err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	s.stats.Misses++
-	e = &storeEntry{ready: make(chan struct{}), refcount: 1}
-	s.tick++
-	e.lastUse = s.tick
-	s.entries[key] = e
-	s.mu.Unlock()
-
-	e.refs, e.err = s.instrTrace(prof, seed, n)
-	close(e.ready)
-	if e.err != nil {
-		s.release(key, e)
-		return nil, nil, e.err
-	}
-	return e.refs, s.releaseOnce(key, e), nil
+	return e.refs, release, nil
 }
 
-// InstrRuns is InstrCtx returning, alongside the memoized trace, its
-// run-length compaction (trace.Compact), computed once per entry and shared
-// by every holder. Both slices are covered by the single release function
-// and MUST be treated as read-only. The fan-out replay driver
-// (internal/replay) is the intended consumer: several engine banks replay
-// the same workload without recompacting it.
+// InstrRuns returns InstrCtx's memoized trace together with its run-length
+// compaction (trace.Compact), computed afresh on every call and owned by the
+// caller; the refs are covered by the release function and MUST be treated
+// as read-only. It is not memoized: code that wants runs acquires RunsOnly.
+// It stays because the benchmark harness (ibsbench) times it.
 func (s *Store) InstrRuns(ctx context.Context, prof Profile, seed uint64, n int64) ([]trace.Ref, []trace.Run, func(), error) {
-	// Worst case (no sequentiality at all) the compaction retains one run
-	// per ref, so budget for both slices up front.
-	if s.hardBudget > 0 && n*(refBytes+runBytes) > s.hardBudget {
-		return nil, nil, nil, fmt.Errorf("%w: %d refs with runs need up to %d bytes, budget %d",
-			ErrOverBudget, n, n*(refBytes+runBytes), s.hardBudget)
-	}
 	refs, release, err := s.InstrCtx(ctx, prof, seed, n)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	key := storeKey{prof: prof, seed: seed, n: n}
-	key.prof.Data = DataProfile{}
-	s.mu.Lock()
-	// The handle we hold pins the entry: it cannot be evicted or replaced
-	// while refcount > 0, so this lookup is exactly our entry.
-	e := s.entries[key]
-	s.mu.Unlock()
-	e.runsOnce.Do(func() {
-		runs := trace.Compact(refs)
-		s.mu.Lock()
-		e.runs = runs
-		s.mu.Unlock()
-	})
-	return refs, e.runs, release, nil
+	return refs, trace.Compact(refs), release, nil
 }
 
 // RunsOnly returns prof's run-length-compacted instruction trace for
@@ -307,24 +263,40 @@ func (s *Store) InstrRuns(ctx context.Context, prof Profile, seed uint64, n int6
 // tier read: a trace whose refs exceed the hard budget usually still fits as
 // runs. Unlike Instr, the hard budget is enforced against the ACTUAL
 // compacted size as it grows, not a worst-case estimate; a pathologically
-// non-sequential stream aborts with ErrOverBudget mid-generation. The slice is shared and read-only; the
-// release function must be called exactly once.
+// non-sequential stream aborts with ErrOverBudget mid-generation. The slice
+// is shared and read-only; the release function must be called exactly
+// once.
 func (s *Store) RunsOnly(ctx context.Context, prof Profile, seed uint64, n int64) ([]trace.Run, func(), error) {
+	e, release, err := s.acquire(ctx, keyFor(prof, seed, n, formRuns), func() (payload, error) {
+		runs, err := s.compactStream(prof, seed, n)
+		return payload{runs: runs}, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.runs, release, nil
+}
+
+// acquire is the store's one memo path: it returns key's entry with a
+// reference held, building it with build on a miss. Concurrent acquires of
+// the same key share one build. A hit waits for an in-flight build unless
+// ctx is done first; the abandoned wait drops its reference (the building
+// caller holds its own until the entry is ready, so this cannot free an
+// unfinished entry), and the build itself runs on for whoever still wants
+// it. A failed build is dropped by its last release — except ErrOverBudget:
+// the hard budget is fixed and generation deterministic, so the same key
+// always fails the same way, and the entry stays behind as a verdict that
+// fails every repeat at once, as a Hit, until the idle LRU or Purge drops
+// it.
+func (s *Store) acquire(ctx context.Context, key storeKey, build func() (payload, error)) (*storeEntry, func(), error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	key := storeKey{prof: prof, seed: seed, n: n, runsOnly: true}
-	key.prof.Data = DataProfile{}
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if ok {
 		s.stats.Hits++
-		if e.refcount == 0 {
-			s.idleBytes -= entryBytes(e)
-		}
-		e.refcount++
-		s.tick++
-		e.lastUse = s.tick
+		s.pinLocked(e)
 		s.mu.Unlock()
 		select {
 		case <-e.ready:
@@ -332,26 +304,35 @@ func (s *Store) RunsOnly(ctx context.Context, prof Profile, seed uint64, n int64
 			s.release(key, e)
 			return nil, nil, ctx.Err()
 		}
-		if e.err != nil {
-			s.release(key, e)
-			return nil, nil, e.err
-		}
-		return e.runs, s.releaseOnce(key, e), nil
+	} else {
+		s.stats.Misses++
+		e = &storeEntry{ready: make(chan struct{})}
+		s.pinLocked(e)
+		s.entries[key] = e
+		s.mu.Unlock()
+		p, err := build()
+		s.mu.Lock()
+		e.payload, e.err = p, err
+		s.mu.Unlock()
+		close(e.ready)
 	}
-	s.stats.Misses++
-	e = &storeEntry{ready: make(chan struct{}), refcount: 1}
-	s.tick++
-	e.lastUse = s.tick
-	s.entries[key] = e
-	s.mu.Unlock()
-
-	e.runs, e.err = s.compactStream(prof, seed, n)
-	close(e.ready)
 	if e.err != nil {
 		s.release(key, e)
 		return nil, nil, e.err
 	}
-	return e.runs, s.releaseOnce(key, e), nil
+	return e, s.releaseOnce(key, e), nil
+}
+
+// pinLocked takes a reference on e, moving its bytes out of the idle cache
+// (they are accounted to the holder) on the 0 → 1 transition. Callers hold
+// the store mutex.
+func (s *Store) pinLocked(e *storeEntry) {
+	if e.refcount == 0 {
+		s.idleBytes -= entryBytes(e)
+	}
+	e.refcount++
+	s.tick++
+	e.lastUse = s.tick
 }
 
 // budgetCheckMask sets how often compactStream re-checks the growing
@@ -411,19 +392,11 @@ func (s *Store) compactStream(prof Profile, seed uint64, n int64) ([]trace.Run, 
 	return append([]trace.Run(nil), runs...), nil
 }
 
-// Source returns a trace.Source over prof's instruction stream for
-// (seed, n). Within the hard budget it is backed by the memoized slice;
-// over budget it degrades to streaming regeneration in O(1) memory instead
-// of failing, counting the degradation in Stats.Fallbacks. The release
+// Source returns a streaming trace.Source over prof's instruction stream
+// for (seed, n): a SeekSource regenerating in O(1) memory, which never
+// fails the hard budget. Each call counts in Stats.Fallbacks. The release
 // function must be called exactly once when the caller is done reading.
 func (s *Store) Source(prof Profile, seed uint64, n int64) (trace.Source, func(), error) {
-	refs, release, err := s.Instr(prof, seed, n)
-	if err == nil {
-		return trace.NewSliceSource(refs), release, nil
-	}
-	if !errors.Is(err, ErrOverBudget) {
-		return nil, nil, err
-	}
 	ss, done, err := s.SeekSource(prof, seed, n)
 	if err != nil {
 		return nil, nil, err
@@ -440,8 +413,9 @@ func (s *Store) releaseOnce(key storeKey, e *storeEntry) func() {
 	return func() { once.Do(func() { s.release(key, e) }) }
 }
 
-// release drops one reference; the last holder moves the entry into the
-// idle cache (or out of the store entirely when over budget or failed).
+// release drops one reference; the last holder moves the entry — or an
+// over-budget verdict — into the idle cache, and any other failed entry out
+// of the store.
 func (s *Store) release(key storeKey, e *storeEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -449,7 +423,7 @@ func (s *Store) release(key storeKey, e *storeEntry) {
 	if e.refcount > 0 {
 		return
 	}
-	if e.err != nil {
+	if e.err != nil && !errors.Is(e.err, ErrOverBudget) {
 		// A failed generation may already have been replaced by a fresh
 		// attempt under the same key; only remove this entry.
 		if cur, ok := s.entries[key]; ok && cur == e {
@@ -460,6 +434,11 @@ func (s *Store) release(key storeKey, e *storeEntry) {
 	}
 	s.tick++
 	e.lastUse = s.tick
+	if e.cf != nil {
+		// An idle spill file stays mapped but off the resident set, so the
+		// process's RSS counts only the files some caller is reading.
+		e.cf.DropResident()
+	}
 	s.idleBytes += entryBytes(e)
 	s.evictLocked()
 }
@@ -524,7 +503,7 @@ func (s *Store) Stats() Stats {
 	st.IdleBytes = s.idleBytes
 	for k, e := range s.entries {
 		st.SpillBytes += e.fileBytes
-		if k.ckpt {
+		if k.form == formCheckpoints {
 			st.CheckpointEntries++
 			if e.ckix != nil {
 				cst := e.ckix.Stats()
@@ -533,7 +512,9 @@ func (s *Store) Stats() Stats {
 			}
 			continue
 		}
-		st.Entries++
+		if e.err == nil {
+			st.Entries++
+		}
 	}
 	return st
 }

@@ -3,10 +3,13 @@ package synth
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"ibsim/internal/crashfs"
 	"ibsim/internal/trace"
 )
 
@@ -182,7 +185,7 @@ func TestStoreSourceFallsBackToStreaming(t *testing.T) {
 		t.Fatalf("streaming fallback left %d store entries", st.Entries)
 	}
 
-	// Under budget, Source is served by the memoized slice (no fallback).
+	// Within budget too, Source streams: it never materializes the refs.
 	src2, release2, err := s.Source(p, 7, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +194,8 @@ func TestStoreSourceFallsBackToStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	release2()
-	if st := s.Stats(); st.Fallbacks != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want in-budget Source memoized", st)
+	if st := s.Stats(); st.Fallbacks != 2 || st.Misses != 0 || st.Entries != 0 {
+		t.Fatalf("stats = %+v, want an in-budget Source streamed too", st)
 	}
 }
 
@@ -310,13 +313,13 @@ func TestStoreInstrRuns(t *testing.T) {
 			t.Fatalf("run %d: store %+v != Compact %+v", i, runs[i], want[i])
 		}
 	}
-	// A second acquire shares both memoized slices.
-	refs2, runs2, release2, err := s.InstrRuns(context.Background(), p, 0, 5000)
+	// A second acquire shares the memoized refs.
+	refs2, _, release2, err := s.InstrRuns(context.Background(), p, 0, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &refs2[0] != &refs[0] || &runs2[0] != &runs[0] {
-		t.Fatal("second InstrRuns did not return the memoized slices")
+	if &refs2[0] != &refs[0] {
+		t.Fatal("second InstrRuns did not return the memoized refs")
 	}
 	// Plain Instr on the same key shares the entry too.
 	refs3, release3, err := s.Instr(p, 0, 5000)
@@ -329,10 +332,9 @@ func TestStoreInstrRuns(t *testing.T) {
 	release()
 	release2()
 	release3()
-	// Idle accounting covers both the trace and its compaction.
-	wantIdle := int64(len(refs))*refBytes + int64(len(runs))*runBytes
-	if got := s.Stats().IdleBytes; got != wantIdle {
-		t.Fatalf("idle bytes %d, want %d (refs+runs)", got, wantIdle)
+	// The compaction is the caller's: the store retains only the refs.
+	if got, want := s.Stats().IdleBytes, int64(len(refs))*refBytes; got != want {
+		t.Fatalf("idle bytes %d, want %d (refs only)", got, want)
 	}
 }
 
@@ -341,16 +343,19 @@ func TestStoreInstrRunsHardBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Enough for the refs alone but not refs+runs in the worst case.
+	// InstrRuns admits exactly what Instr admits: the refs are all it holds.
 	s := NewStoreLimits(DefaultIdleBudget, 5000*refBytes)
-	if _, _, _, err := s.InstrRuns(context.Background(), p, 0, 5000); !errors.Is(err, ErrOverBudget) {
+	if _, _, _, err := s.InstrRuns(context.Background(), p, 0, 5001); !errors.Is(err, ErrOverBudget) {
 		t.Fatalf("err = %v, want ErrOverBudget", err)
 	}
-	if _, release, err := s.Instr(p, 0, 5000); err != nil {
-		t.Fatalf("Instr within budget failed: %v", err)
-	} else {
-		release()
+	_, runs, release, err := s.InstrRuns(context.Background(), p, 0, 5000)
+	if err != nil {
+		t.Fatalf("InstrRuns within the refs budget failed: %v", err)
 	}
+	if len(runs) == 0 {
+		t.Fatal("no runs")
+	}
+	release()
 }
 
 func TestStoreInstrRunsConcurrent(t *testing.T) {
@@ -377,9 +382,12 @@ func TestStoreInstrRunsConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	for w := 1; w < workers; w++ {
-		if len(got[w]) == 0 || &got[w][0] != &got[0][0] {
-			t.Fatalf("worker %d got a different runs slice", w)
+		if !slices.Equal(got[w], got[0]) {
+			t.Fatalf("worker %d got a different compaction", w)
 		}
+	}
+	if st := s.Stats(); st.Misses != 1 {
+		t.Fatalf("stats = %+v, want exactly 1 generation", st)
 	}
 }
 
@@ -452,10 +460,126 @@ func TestStoreRunsOnlyOverBudget(t *testing.T) {
 	if _, _, err := s.RunsOnly(context.Background(), p, 0, 50_000); !errors.Is(err, ErrOverBudget) {
 		t.Fatalf("err = %v, want ErrOverBudget", err)
 	}
-	// The failed entry must not linger.
+	// The failed entry must not linger as a trace.
 	if st := s.Stats(); st.Entries != 0 {
 		t.Fatalf("failed RunsOnly left %d entries", st.Entries)
 	}
+	// The verdict is remembered: a repeat fails at once, as a hit, without
+	// generating again.
+	before := s.Stats()
+	if _, _, err := s.RunsOnly(context.Background(), p, 0, 50_000); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("repeat err = %v, want ErrOverBudget", err)
+	}
+	if st := s.Stats(); st.Misses != before.Misses || st.Hits != before.Hits+1 || st.Entries != 0 {
+		t.Fatalf("repeat stats = %+v after %+v, want one more hit and no miss", st, before)
+	}
+	// Purge drops the verdict, so the next request generates again.
+	s.Purge()
+	if _, _, err := s.RunsOnly(context.Background(), p, 0, 50_000); !errors.Is(err, ErrOverBudget) {
+		t.Fatalf("post-purge err = %v, want ErrOverBudget", err)
+	}
+	if st := s.Stats(); st.Misses != before.Misses+1 {
+		t.Fatalf("post-purge stats = %+v, want a fresh miss", st)
+	}
+}
+
+// Verdicts are idle entries like any other: an idle budget too small for
+// one evicts it at release, so a repeat generates again.
+func TestStoreVerdictEvictedByIdleBudget(t *testing.T) {
+	p, err := Lookup("gs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStoreLimits(verdictBytes-1, 10*runBytes)
+	for i := 1; i <= 2; i++ {
+		if _, _, err := s.RunsOnly(context.Background(), p, 0, 50_000); !errors.Is(err, ErrOverBudget) {
+			t.Fatalf("attempt %d: err = %v, want ErrOverBudget", i, err)
+		}
+		if st := s.Stats(); st.Misses != int64(i) || st.Evictions != int64(i) || st.IdleBytes != 0 {
+			t.Fatalf("attempt %d: stats = %+v, want the verdict evicted", i, st)
+		}
+	}
+}
+
+// Only ErrOverBudget is deterministic for a key: a build that fails any
+// other way — cancelled, or an I/O error — is forgotten, and the next
+// acquire builds again.
+func TestStoreForgetsOtherFailures(t *testing.T) {
+	p, err := Lookup("gs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(DefaultIdleBudget)
+	key := keyFor(p, 0, 1000, formRuns)
+	builds := 0
+	for _, fail := range []error{context.Canceled, fmt.Errorf("wrapped: %w", context.DeadlineExceeded), errors.New("i/o")} {
+		for i := 0; i < 2; i++ {
+			_, _, err := s.acquire(context.Background(), key, func() (payload, error) {
+				builds++
+				return payload{}, fail
+			})
+			if !errors.Is(err, fail) {
+				t.Fatalf("acquire err = %v, want %v", err, fail)
+			}
+		}
+	}
+	if st := s.Stats(); builds != 6 || st.Misses != 6 || st.Hits != 0 || len(s.entries) != 0 {
+		t.Fatalf("%d builds, stats %+v, %d entries: want every failure rebuilt and none kept", builds, st, len(s.entries))
+	}
+
+	// A spill that fails on I/O is retried.
+	fsys := &failFS{FS: crashfs.OS(), fail: true}
+	s.SetSpillFS(fsys)
+	if err := s.SetSpillDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		if _, _, err := s.Columnar(context.Background(), p, 0, 1000); err == nil || errors.Is(err, ErrOverBudget) {
+			t.Fatalf("attempt %d: Columnar err = %v, want the injected I/O error", i, err)
+		}
+		if fsys.creates != i {
+			t.Fatalf("attempt %d: %d temp files created, want a retry each time", i, fsys.creates)
+		}
+	}
+}
+
+// A columnar spill over the hard budget is remembered: the repeat creates
+// no temp file and counts no miss.
+func TestStoreColumnarVerdict(t *testing.T) {
+	p, err := Lookup("gs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStoreLimits(DefaultIdleBudget, 64)
+	fsys := &failFS{FS: crashfs.OS()}
+	s.SetSpillFS(fsys)
+	if err := s.SetSpillDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		if _, _, err := s.Columnar(context.Background(), p, 0, 50_000); !errors.Is(err, ErrOverBudget) {
+			t.Fatalf("attempt %d: err = %v, want ErrOverBudget", i, err)
+		}
+	}
+	if st := s.Stats(); fsys.creates != 1 || st.Misses != 1 || st.Hits != 1 || st.Spills != 0 {
+		t.Fatalf("%d temp files, stats %+v: want one spill attempt, then a hit on the verdict", fsys.creates, st)
+	}
+}
+
+// failFS counts the spill temp files a store creates, failing each
+// creation while fail is set.
+type failFS struct {
+	crashfs.FS
+	fail    bool
+	creates int
+}
+
+func (f *failFS) CreateTemp(dir, pattern string) (crashfs.File, error) {
+	f.creates++
+	if f.fail {
+		return nil, errors.New("injected create failure")
+	}
+	return f.FS.CreateTemp(dir, pattern)
 }
 
 func TestStoreRunsOnlyCancellation(t *testing.T) {

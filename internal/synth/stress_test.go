@@ -10,7 +10,7 @@ import (
 // checkStoreInvariants asserts the store's internal accounting under its
 // own mutex: no entry's refcount is negative, idleBytes is non-negative
 // and equals the summed entryBytes of exactly the idle (refcount 0)
-// entries.
+// entries, over-budget verdicts included.
 func checkStoreInvariants(t *testing.T, s *Store) {
 	t.Helper()
 	s.mu.Lock()
@@ -25,7 +25,7 @@ func checkStoreInvariants(t *testing.T, s *Store) {
 		default:
 			continue // still generating: not yet accounted
 		}
-		if e.refcount == 0 && e.err == nil {
+		if e.refcount == 0 {
 			idle += entryBytes(e)
 		}
 	}
@@ -41,15 +41,19 @@ func checkStoreInvariants(t *testing.T, s *Store) {
 }
 
 // TestStoreStressInvariants hammers one store from many goroutines mixing
-// every acquisition path — Instr, InstrRuns, InstrCtx (some cancelled),
-// Source, over-budget rejections, double releases — and asserts, under
+// every acquisition path — Instr, RunsOnly, Columnar, over-budget verdicts,
+// InstrCtx (some cancelled), Source, double releases — and asserts, under
 // -race, that the ref-count and idle-byte bookkeeping never goes negative
 // and fully drains at the end.
 func TestStoreStressInvariants(t *testing.T) {
 	profs := IBSMach()[:3]
 	// Budget sized so entries churn: a few traces fit idle, most evict.
 	const n = 2_000
-	store := NewStoreLimits(3*TraceBytes(n, true), TraceBytes(4*n, true))
+	store := NewStoreLimits(3*RunBytes(n), RunBytes(4*n))
+	if err := store.SetSpillDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer store.Purge()
 
 	const goroutines = 12
 	const iters = 150
@@ -74,15 +78,35 @@ func TestStoreStressInvariants(t *testing.T) {
 					release()
 					release() // double release must be a no-op
 				case 1:
-					refs, runs, release, err := store.InstrRuns(context.Background(), prof, 1, size)
-					if err != nil {
-						t.Errorf("InstrRuns: %v", err)
-						return
+					ctx := context.Background()
+					switch i % 3 {
+					case 0:
+						runs, release, err := store.RunsOnly(ctx, prof, 1, size)
+						if err != nil {
+							t.Errorf("RunsOnly: %v", err)
+							return
+						}
+						if len(runs) == 0 {
+							t.Error("RunsOnly returned no runs")
+						}
+						release()
+					case 1:
+						cf, release, err := store.Columnar(ctx, prof, 1, size)
+						if err != nil {
+							t.Errorf("Columnar: %v", err)
+							return
+						}
+						if cf.Refs() != size {
+							t.Errorf("Columnar file holds %d refs, want %d", cf.Refs(), size)
+						}
+						release()
+					case 2:
+						// Runs far over the hard budget: built once, then
+						// served from the verdict until the idle LRU drops it.
+						if _, _, err := store.RunsOnly(ctx, prof, 1, 200_000); !errors.Is(err, ErrOverBudget) {
+							t.Errorf("oversized RunsOnly = %v, want ErrOverBudget", err)
+						}
 					}
-					if len(runs) == 0 || int64(len(refs)) != size {
-						t.Errorf("InstrRuns returned %d refs / %d runs", len(refs), len(runs))
-					}
-					release()
 				case 2:
 					ctx, cancel := context.WithCancel(context.Background())
 					if (g+i)%2 == 0 {
@@ -145,7 +169,7 @@ func TestStoreStressInvariants(t *testing.T) {
 func TestStoreStressEvictionChurn(t *testing.T) {
 	prof := IBSMach()[0]
 	const n = 1_000
-	store := NewStore(TraceBytes(n, false) + 1) // roughly one idle trace
+	store := NewStore(n*refBytes + 1) // roughly one idle trace
 
 	for wave := 0; wave < 8; wave++ {
 		var wg sync.WaitGroup

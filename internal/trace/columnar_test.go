@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -142,6 +143,12 @@ func TestColumnarFileRoundTripMmap(t *testing.T) {
 		if got[i] != runs[i] {
 			t.Fatalf("run %d mismatch", i)
 		}
+	}
+	// Dropping the resident pages loses nothing: the next reads fault the
+	// same bytes back in.
+	f.DropResident()
+	if again := collectBlocks(t, f); !slices.Equal(again, runs) {
+		t.Fatal("blocks read after DropResident differ")
 	}
 
 	// The explicit sequential (ReaderAt) mode must agree byte for byte.
